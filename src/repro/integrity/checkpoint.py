@@ -19,8 +19,9 @@ import zlib
 
 from repro.errors import CheckpointError
 
-#: Bump when the on-disk layout changes incompatibly.
-CHECKPOINT_FORMAT = 1
+#: Bump when the on-disk layout changes incompatibly (2: ``SMCore`` gained
+#: ``sleep_until`` and its prebuilt issue candidates).
+CHECKPOINT_FORMAT = 2
 
 _MAGIC = "repro-checkpoint"
 

@@ -26,7 +26,9 @@ class TagArray:
 
     Lines are keyed by line-aligned byte address. Each set is an
     ``OrderedDict`` from address to :class:`LineMeta`; order encodes
-    recency (last item = most recently used).
+    recency (last item = most recently used). A set is created on its
+    first insert, so a large cache that a kernel touches sparsely costs
+    one list slot per untouched set.
     """
 
     __slots__ = ("_config", "_num_sets", "_assoc", "_line", "_sets",
@@ -37,9 +39,9 @@ class TagArray:
         self._num_sets = config.num_sets
         self._assoc = config.associativity
         self._line = config.line_size
-        self._sets: list[OrderedDict[int, LineMeta]] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        self._sets: list[Optional[OrderedDict[int, LineMeta]]] = [
+            None
+        ] * self._num_sets
         # Power-of-two geometry (every real config) lets the per-access set
         # index be a shift+mask instead of a divmod pair.
         line, sets = self._line, self._num_sets
@@ -55,6 +57,8 @@ class TagArray:
     def probe(self, line_addr: int, update_lru: bool = True) -> Optional[LineMeta]:
         """Return the line's metadata if resident, promoting it to MRU."""
         s = self._sets[self.set_index(line_addr)]
+        if s is None:
+            return None
         meta = s.get(line_addr)
         if meta is not None and update_lru:
             s.move_to_end(line_addr)
@@ -69,7 +73,10 @@ class TagArray:
         thrown away the moment demand traffic sweeps the set — but
         prefetches can never pin a whole set either.
         """
-        s = self._sets[self.set_index(line_addr)]
+        index = self.set_index(line_addr)
+        if self._sets[index] is None:
+            self._sets[index] = OrderedDict()
+        s = self._sets[index]
         victim: Optional[tuple[int, LineMeta]] = None
         if line_addr in s:
             # Refill of a resident line: replace metadata in place.
@@ -96,10 +103,13 @@ class TagArray:
 
     def invalidate(self, line_addr: int) -> Optional[LineMeta]:
         """Drop a line (write-evict stores); return its metadata if present."""
-        return self._sets[self.set_index(line_addr)].pop(line_addr, None)
+        s = self._sets[self.set_index(line_addr)]
+        if s is None:
+            return None
+        return s.pop(line_addr, None)
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)
 
     def resident_lines(self) -> Iterator[int]:
         """Yield resident line addresses, sorted within each set.
@@ -108,4 +118,5 @@ class TagArray:
         form (checkpoints, diagnostics) byte-stable across runs.
         """
         for s in self._sets:
-            yield from sorted(s.keys())
+            if s is not None:
+                yield from sorted(s.keys())

@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.config import GPUConfig
 from repro.errors import SamplingError
-from repro.integrity.checkpoint import CheckpointSeries
+from repro.integrity.checkpoint import CHECKPOINT_FORMAT, CheckpointSeries
 from repro.sampling.profile import PROFILE_FORMAT, SampleProfile, build_profile
 
 #: Environment override for the on-disk profile root.
@@ -48,6 +48,8 @@ def profile_key(workload: str, config_name: str, scale: float,
     return content_hash({
         "kind": "sample_profile",
         "format": PROFILE_FORMAT,
+        # Profiles hold checkpoints: a new checkpoint layout is a miss.
+        "checkpoint_format": CHECKPOINT_FORMAT,
         "workload": workload,
         "config": config_name,
         "scale": scale,

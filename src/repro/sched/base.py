@@ -51,7 +51,11 @@ class WarpScheduler(abc.ABC):
 
     @abc.abstractmethod
     def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        """Pick the warp to issue this cycle, or ``None`` to stay idle."""
+        """Pick the warp to issue this cycle, or ``None`` to stay idle.
+
+        ``candidates`` is in ascending ``warp_id`` order. The SM builds its
+        candidate objects once and reuses them every cycle.
+        """
 
     # ------------------------------------------------------------------
     # Feedback hooks

@@ -26,13 +26,15 @@ class LRRScheduler(WarpScheduler):
         self._next = 0
 
     def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
+        # Candidates arrive in ascending warp order, so the circular scan
+        # from the pointer is: the first id at or past it, else the first.
         if not candidates:
             return None
-        ready = {c.warp_id for c in candidates}
-        n = self._num_warps
-        for offset in range(n):
-            wid = (self._next + offset) % n
-            if wid in ready:
-                self._next = (wid + 1) % n
-                return wid
-        return None
+        start = self._next
+        wid = candidates[0].warp_id
+        for c in candidates:
+            if c.warp_id >= start:
+                wid = c.warp_id
+                break
+        self._next = (wid + 1) % self._num_warps
+        return wid

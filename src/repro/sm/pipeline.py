@@ -37,6 +37,9 @@ from repro.telemetry.events import (
 #: Observer invoked for every executed load: ``fn(access, line_hits)``.
 LoadObserver = Callable[[LoadAccess, list[bool]], None]
 
+#: ``SMCore.sleep_until`` of an SM that only a memory fill can wake.
+SLEEP_FOREVER = 1 << 62
+
 
 class _WarpMemDone:
     """Completion callback for one of a warp's line requests.
@@ -98,6 +101,8 @@ class SMCore:
         "mem_requests_completed",
         "load_observers",
         "_telemetry",
+        "_candidates",
+        "sleep_until",
     )
 
     #: MSHR occupancy above which prefetches are dropped.
@@ -146,6 +151,18 @@ class SMCore:
         #: Per-SM telemetry proxy; ``None`` (the default) keeps the issue
         #: loop's instrumentation to one identity test per cycle.
         self._telemetry = None
+        #: ``(IssueCandidate(w, False), IssueCandidate(w, True))`` per warp,
+        #: built once so the issue scan allocates nothing.
+        self._candidates = tuple(
+            (IssueCandidate(w.warp_id, False), IssueCandidate(w.warp_id, True))
+            for w in self.warps
+        )
+        #: The engine skips this SM while ``now < sleep_until``: its replay
+        #: queue is empty and no warp can issue before that cycle, so each
+        #: skipped ``cycle`` would only have counted one idle cycle. Set by
+        #: :meth:`cycle`, cleared by :meth:`_mem_done` (the only other path
+        #: that can make a warp issuable).
+        self.sleep_until = 0
         scheduler.reset(len(self.warps))
         scheduler.attach_l1(l1)
         prefetcher.reset(len(self.warps))
@@ -165,6 +182,11 @@ class SMCore:
     @property
     def done(self) -> bool:
         return self._finished_warps == len(self.warps) and not self._replay
+
+    @property
+    def telemetry(self):
+        """The per-SM telemetry proxy, or ``None`` when untraced."""
+        return self._telemetry
 
     def next_wake_hint(self, now: int) -> Optional[int]:
         """Earliest future cycle a warp becomes ready without an event.
@@ -247,7 +269,13 @@ class SMCore:
     # ------------------------------------------------------------------
 
     def cycle(self, now: int) -> bool:
-        """Advance one cycle; returns True if an instruction was issued."""
+        """Advance one cycle; returns True if an instruction was issued.
+
+        Candidates reach the scheduler in ascending warp order. When
+        nothing can issue and no load waits for replay, the SM goes to
+        sleep until its earliest dependent-issue wake-up (see
+        ``sleep_until``).
+        """
         replay = self._replay
         if replay:
             self._process_replay(now)
@@ -261,16 +289,25 @@ class SMCore:
         candidates = []
         append = candidates.append
         is_mem_at = self._is_mem_at
+        prebuilt = self._candidates
+        wake = SLEEP_FOREVER
         for w in self.warps:
-            if w.finished or w.outstanding or w.ready_at > now:
+            if w.finished or w.outstanding:
+                continue
+            ready_at = w.ready_at
+            if ready_at > now:
+                if ready_at < wake:
+                    wake = ready_at
                 continue
             is_mem = is_mem_at[w.pc_index]
             if is_mem and lsu_blocked:
                 stats.lsu_structural_stalls += 1
                 continue
-            append(IssueCandidate(w.warp_id, is_mem))
+            append(prebuilt[w.warp_id][is_mem])
         if not candidates:
             stats.idle_cycles += 1
+            if not replay:
+                self.sleep_until = wake
             if tel is not None:
                 tel.on_idle(
                     self, now, stats.lsu_structural_stalls - gate_base
@@ -485,6 +522,7 @@ class SMCore:
             raise AssertionError("memory completion underflow")
         if warp.outstanding == 0:
             warp.ready_at = max(warp.ready_at, when)
+            self.sleep_until = 0
             tel = self._telemetry
             if tel is not None and tel.events:
                 tel.emit(
@@ -540,6 +578,14 @@ class SMCore:
                 f"warps report {outstanding} outstanding requests but "
                 f"{self.mem_requests_issued} issued - "
                 f"{self.mem_requests_completed} completed = {in_flight}")
+        if self.sleep_until > now:
+            if self._replay:
+                violate(f"asleep until cycle {self.sleep_until} with "
+                        f"{len(self._replay)} loads awaiting replay")
+            for w in self.warps:
+                if not (w.finished or w.outstanding) and w.ready_at < self.sleep_until:
+                    violate(f"asleep until cycle {self.sleep_until} but warp "
+                            f"{w.warp_id} is ready at {w.ready_at}")
         for pending in self._replay:
             if pending.warp.finished:
                 violate(f"replay queue holds a load of finished warp "

@@ -3,7 +3,9 @@
 The main loop is cycle-driven with event-queue fast-forwarding: when every
 SM is stalled (all warps waiting on memory or dependent-issue delays) the
 clock jumps straight to the next wake-up, which makes memory-bound phases
-cheap to simulate without changing any observable timing.
+cheap to simulate without changing any observable timing. Within a tick,
+an SM that has nothing to issue sleeps (``SMCore.sleep_until``) and is
+only counted idle until a fill or its next dependent-issue wake-up.
 
 The loop is resumable: all progress lives in instance state (``_now`` and
 the component objects), so a run can be paused with :meth:`step_until`,
@@ -28,7 +30,7 @@ from repro.isa.program import KernelSpec
 from repro.mem.subsystem import MemorySubsystem
 from repro.prefetch.base import Prefetcher
 from repro.sched.base import WarpScheduler
-from repro.sm.pipeline import LoadObserver, SMCore
+from repro.sm.pipeline import SLEEP_FOREVER, LoadObserver, SMCore
 from repro.stats.counters import SimStats
 from repro.telemetry.hub import TelemetryHub
 
@@ -232,9 +234,19 @@ class GPUSimulator:
         events = self._subsystem.events
         events.run_until(now)
         issued_any = False
-        for sm in self._sms:
-            issued_any |= sm.cycle(now)
         telemetry = self.telemetry
+        # A sleeping SM's cycle() would only count one idle cycle (and,
+        # traced, classify it), so skip the call and do just that.
+        asleep = 0
+        for sm in self._sms:
+            if sm.sleep_until > now:
+                asleep += 1
+                if telemetry is not None:
+                    sm.telemetry.on_idle(sm, now, 0)
+            else:
+                issued_any |= sm.cycle(now)
+        if asleep:
+            self.stats.idle_cycles += asleep
         if telemetry is not None:
             telemetry.on_tick(now)
         if all(sm.done for sm in self._sms) and not len(events):
@@ -266,7 +278,13 @@ class GPUSimulator:
         """Jump to the next cycle at which anything can happen."""
         wake: Optional[int] = self._subsystem.events.next_event_cycle
         for sm in self._sms:
-            hint = sm.next_wake_hint(now)
+            # A sleeping SM's wake-up is its next_wake_hint: nothing that
+            # could move it has happened since it fell asleep.
+            hint = sm.sleep_until
+            if hint <= now:
+                hint = sm.next_wake_hint(now)
+            elif hint == SLEEP_FOREVER:
+                continue
             if hint is not None and (wake is None or hint < wake):
                 wake = hint
         if wake is None:

@@ -89,6 +89,40 @@ class TestResidentLines:
         assert set(tags.resident_lines()) == lines
 
 
+class TestUntouchedSets:
+    """Sets are created on first insert; an untouched set reads as empty."""
+
+    def test_probe_untouched_set(self):
+        tags, _ = small_tags(sets=8)
+        tags.insert(line(0, 0, 8), LineMeta())
+        assert tags.probe(line(5, 0, 8)) is None
+        assert tags.probe(line(5, 3, 8), update_lru=False) is None
+
+    def test_invalidate_untouched_set(self):
+        tags, _ = small_tags(sets=8)
+        assert tags.invalidate(line(3, 1, 8)) is None
+        assert tags.occupancy() == 0
+
+    def test_occupancy_counts_only_touched_sets(self):
+        tags, _ = small_tags(sets=8, ways=2)
+        assert tags.occupancy() == 0
+        tags.insert(line(2, 0, 8), LineMeta())
+        tags.insert(line(2, 1, 8), LineMeta())
+        tags.insert(line(6, 0, 8), LineMeta())
+        assert tags.occupancy() == 3
+        tags.invalidate(line(6, 0, 8))
+        assert tags.occupancy() == 2
+
+    def test_resident_lines_in_set_order(self):
+        tags, _ = small_tags(sets=8)
+        assert list(tags.resident_lines()) == []
+        for addr in (line(7, 0, 8), line(1, 2, 8), line(1, 1, 8), line(4, 0, 8)):
+            tags.insert(addr, LineMeta())
+        assert list(tags.resident_lines()) == [
+            line(1, 1, 8), line(1, 2, 8), line(4, 0, 8), line(7, 0, 8),
+        ]
+
+
 @settings(max_examples=200)
 @given(st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=200))
 def test_property_matches_reference_lru(accesses):
