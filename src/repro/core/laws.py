@@ -40,6 +40,9 @@ class LAWSScheduler(WarpScheduler):
         self._wgt = WarpGroupTable(self._apres_config.wgt_entries, 1)
         self._pending_group: Optional[tuple[frozenset[int], LoadAccess]] = None
         self._finished: set[int] = set()
+        #: ``select``'s scratch bitmap of this cycle's candidates; all False
+        #: between calls.
+        self._ready: list[bool] = [False]
 
     def reset(self, num_warps: int) -> None:
         super().reset(num_warps)
@@ -48,6 +51,7 @@ class LAWSScheduler(WarpScheduler):
         self._wgt = WarpGroupTable(self._apres_config.wgt_entries, num_warps)
         self._pending_group = None
         self._finished = set()
+        self._ready = [False] * num_warps
 
     # ------------------------------------------------------------------
     # Queue manipulation
@@ -58,20 +62,39 @@ class LAWSScheduler(WarpScheduler):
         """Current priority order (head first); exposed for tests."""
         return tuple(self._queue)
 
+    def _split(self, warps: frozenset[int]) -> tuple[list[int], list[int]]:
+        """One pass over the queue: (members of ``warps``, the rest), each
+        in queue order."""
+        picked: list[int] = []
+        rest: list[int] = []
+        add_picked = picked.append
+        add_rest = rest.append
+        for w in self._queue:
+            if w in warps:
+                add_picked(w)
+            else:
+                add_rest(w)
+        return picked, rest
+
     def _move_to_head(self, warps: frozenset[int]) -> None:
-        picked = [w for w in self._queue if w in warps]
-        rest = [w for w in self._queue if w not in warps]
-        self._queue = picked + rest
+        # Groups hold this SM's warp ids and the queue holds each id once, so
+        # a group as long as the queue is the whole queue and keeps its order.
+        if len(warps) < len(self._queue):
+            picked, rest = self._split(warps)
+            picked += rest
+            self._queue = picked
         self.events += 1
 
     def _move_to_tail(self, warps: frozenset[int], last: Optional[int] = None) -> None:
         """Demote a group; ``last`` (the warp that just missed — the most
         stalled member) goes to the very end, which keeps selection
         rotating fairly when one group spans the whole pool."""
-        picked = [w for w in self._queue if w in warps and w != last]
-        rest = [w for w in self._queue if w not in warps]
-        self._queue = rest + picked
+        if len(warps) < len(self._queue):
+            picked, rest = self._split(warps)
+            rest += picked
+            self._queue = rest
         if last is not None and last in warps:
+            self._queue.remove(last)
             self._queue.append(last)
         self.events += 1
 
@@ -80,22 +103,27 @@ class LAWSScheduler(WarpScheduler):
     # ------------------------------------------------------------------
 
     def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        if not candidates:
-            return None
-        ready = {c.warp_id for c in candidates}
+        if len(candidates) < 2:
+            return candidates[0].warp_id if candidates else None
+        ready = self._ready
+        for c in candidates:
+            ready[c.warp_id] = True
+        chosen = None
         for wid in self._queue:
-            if wid in ready:
-                return wid
-        return None
+            if ready[wid]:
+                chosen = wid
+                break
+        for c in candidates:
+            ready[c.warp_id] = False
+        return chosen
 
     def notify_load_result(self, access: LoadAccess) -> None:
         """LSU feedback: form the group, then prioritise it by outcome."""
         wid = access.warp_id
-        llpc = self._llt.get(wid)
-        members = [
-            w for w in self._llt.warps_with_llpc(llpc) if w not in self._finished
-        ]
-        group = frozenset(members) | {wid}
+        # The live warps sharing this warp's LLPC, and the warp itself.
+        group = frozenset(self._llt.peers(wid))
+        if self._finished:
+            group = group.difference(self._finished).union((wid,))
         self._llt.update(wid, access.pc)
         gid = self._wgt.insert(group)
         self.events += 1
@@ -135,6 +163,9 @@ class LAWSScheduler(WarpScheduler):
 
     def notify_warp_finished(self, warp_id: int) -> None:
         self._finished.add(warp_id)
+
+    def check_invariants(self) -> None:
+        self._llt.check_invariants()
 
     # Diagnostics -------------------------------------------------------
 

@@ -20,8 +20,9 @@ class WarpGroupTable:
     def __init__(self, num_entries: int, num_warps: int):
         if num_entries < 1:
             raise ValueError("WGT needs at least one entry")
+        if num_warps < 1:
+            raise ValueError("WGT needs at least one warp")
         self._capacity = num_entries
-        self._num_warps = num_warps
         self._entries: OrderedDict[int, frozenset[int]] = OrderedDict()
         self._ids = itertools.count()
 
@@ -33,10 +34,11 @@ class WarpGroupTable:
         return self._capacity
 
     def insert(self, warps: frozenset[int]) -> int:
-        """Store a group; returns its id. Oldest entry is dropped when full."""
-        bad = sorted(w for w in warps if not 0 <= w < self._num_warps)
-        if bad:
-            raise ValueError(f"warp ids out of range: {bad}")
+        """Store a group; returns its id. Oldest entry is dropped when full.
+
+        Members must lie in ``range(num_warps)``. They are not checked here:
+        LAWS builds every group from a Last Load Table of the same size.
+        """
         if len(self._entries) >= self._capacity:
             self._entries.popitem(last=False)
         gid = next(self._ids)

@@ -20,8 +20,10 @@ import zlib
 from repro.errors import CheckpointError
 
 #: Bump when the on-disk layout changes incompatibly (2: ``SMCore`` gained
-#: ``sleep_until`` and its prebuilt issue candidates).
-CHECKPOINT_FORMAT = 2
+#: ``sleep_until`` and its prebuilt issue candidates; 3: ``SMCore`` gained
+#: its issuable-warp pool, the LLT its ``llpc → warps`` index, LAWS its
+#: ready bitmap and ``GPUSimulator`` its done-SM prefix).
+CHECKPOINT_FORMAT = 3
 
 _MAGIC = "repro-checkpoint"
 

@@ -78,3 +78,11 @@ class WarpScheduler(abc.ABC):
 
     def notify_warp_finished(self, warp_id: int) -> None:
         """``warp_id`` retired its last instruction."""
+
+    # ------------------------------------------------------------------
+    # Integrity
+    # ------------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Raise :class:`~repro.errors.InvariantError` on inconsistent
+        internal state (read-only; run by ``SMCore.check_invariants``)."""

@@ -96,13 +96,17 @@ class CCWSScheduler(WarpScheduler):
         return allowed
 
     def _compute_allowed(self, cycle: int) -> set[int]:
-        live = [w for w in range(self._num_warps) if w not in self._finished]
-        order = sorted(live, key=lambda w: (-self.score(w, cycle), w))
+        # Each live warp's score once, ranked by (score descending, warp id).
+        ranked = sorted(
+            (-self.score(w, cycle), w)
+            for w in range(self._num_warps)
+            if w not in self._finished
+        )
         cutoff = self._num_warps * self.BASE_SCORE
         allowed: set[int] = set()
         total = 0.0
-        for wid in order:
-            total += self.score(wid, cycle)
+        for neg_score, wid in ranked:
+            total -= neg_score
             if total > cutoff and len(allowed) >= self._min_active:
                 break
             allowed.add(wid)
@@ -116,21 +120,26 @@ class CCWSScheduler(WarpScheduler):
         if not candidates:
             return None
         allowed_loads = self.load_allowed_warps(cycle)
-        eligible = {
-            c.warp_id for c in candidates if not c.is_mem or c.warp_id in allowed_loads
-        }
         self.events += 1
-        if not eligible:
-            return None
         # Round-robin among eligible warps: CCWS gates *which* warps may
         # issue loads; within that set it keeps the baseline's fairness.
-        n = self._num_warps
-        for offset in range(n):
-            wid = (self._next + offset) % n
-            if wid in eligible:
-                self._next = (wid + 1) % n
-                return wid
-        return None
+        # Candidates arrive in ascending warp order, so the circular scan
+        # from the pointer is: the first eligible id at or past it, else
+        # the first eligible id.
+        start = self._next
+        chosen = None
+        for c in candidates:
+            wid = c.warp_id
+            if c.is_mem and wid not in allowed_loads:
+                continue
+            if wid >= start:
+                chosen = wid
+                break
+            if chosen is None:
+                chosen = wid
+        if chosen is not None:
+            self._next = (chosen + 1) % self._num_warps
+        return chosen
 
     def notify_load_result(self, access) -> None:
         if access.primary_hit:

@@ -25,12 +25,15 @@ class GTOScheduler(WarpScheduler):
         self._current = None
 
     def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
+        # Candidates arrive in ascending warp order: the first is the oldest.
         if not candidates:
             return None
-        ready = {c.warp_id for c in candidates}
-        if self._current in ready:
-            return self._current
-        oldest = min(ready)
+        current = self._current
+        if current is not None:
+            for c in candidates:
+                if c.warp_id == current:
+                    return current
+        oldest = candidates[0].warp_id
         self._current = oldest
         return oldest
 

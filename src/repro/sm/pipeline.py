@@ -11,7 +11,9 @@ issued into the L1 as prefetch fills.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.config import GPUConfig
@@ -39,6 +41,8 @@ LoadObserver = Callable[[LoadAccess, list[bool]], None]
 
 #: ``SMCore.sleep_until`` of an SM that only a memory fill can wake.
 SLEEP_FOREVER = 1 << 62
+
+_WARP_ID = attrgetter("warp_id")
 
 
 class _WarpMemDone:
@@ -92,6 +96,7 @@ class SMCore:
         "_subsystem",
         "_stats",
         "warps",
+        "_issuable",
         "_replay",
         "_is_mem_at",
         "_issue_latency",
@@ -135,6 +140,13 @@ class SMCore:
             WarpContext(w, sm_id * config.max_warps_per_sm + w, kernel, wave_stride)
             for w in range(config.max_warps_per_sm)
         ]
+        #: The warps that are neither finished nor waiting on memory, in
+        #: ascending ``warp_id`` order: the only ones the issue scan and the
+        #: wake hints need to look at. ``_issue_load`` removes a warp when it
+        #: becomes outstanding, ``_mem_done`` re-inserts it when its last
+        #: request returns, and ``_finish_instruction`` removes a warp that
+        #: finishes with nothing in flight.
+        self._issuable = list(self.warps)
         self._replay: deque[_PendingLoad] = deque()
         self._is_mem_at = tuple(i.is_mem for i in kernel.body)
         # Hoisted config scalars: the cycle loop reads these every issue and
@@ -195,9 +207,7 @@ class SMCore:
         through fill events, so they contribute no hint.
         """
         hint: Optional[int] = None
-        for w in self.warps:
-            if w.finished or w.outstanding:
-                continue
+        for w in self._issuable:
             if w.ready_at > now and (hint is None or w.ready_at < hint):
                 hint = w.ready_at
         return hint
@@ -218,8 +228,8 @@ class SMCore:
             return self.next_wake_hint(now)
         hint: Optional[int] = None
         is_mem_at = self._is_mem_at
-        for w in self.warps:
-            if w.finished or w.outstanding or is_mem_at[w.pc_index]:
+        for w in self._issuable:
+            if is_mem_at[w.pc_index]:
                 continue
             if w.ready_at > now and (hint is None or w.ready_at < hint):
                 hint = w.ready_at
@@ -237,8 +247,8 @@ class SMCore:
         """
         if self._replay:
             return True
-        for w in self.warps:
-            if not w.finished and not w.outstanding and w.ready_at <= now:
+        for w in self._issuable:
+            if w.ready_at <= now:
                 return True
         return False
 
@@ -254,9 +264,7 @@ class SMCore:
         if self._replay:
             return True, None
         hint: Optional[int] = None
-        for w in self.warps:
-            if w.finished or w.outstanding:
-                continue
+        for w in self._issuable:
             ready_at = w.ready_at
             if ready_at <= now:
                 return True, None
@@ -271,10 +279,10 @@ class SMCore:
     def cycle(self, now: int) -> bool:
         """Advance one cycle; returns True if an instruction was issued.
 
-        Candidates reach the scheduler in ascending warp order. When
-        nothing can issue and no load waits for replay, the SM goes to
-        sleep until its earliest dependent-issue wake-up (see
-        ``sleep_until``).
+        Only the issuable pool is scanned, in ascending warp order, so
+        candidates reach the scheduler in that order. When nothing can
+        issue and no load waits for replay, the SM goes to sleep until its
+        earliest dependent-issue wake-up (see ``sleep_until``).
         """
         replay = self._replay
         if replay:
@@ -291,8 +299,11 @@ class SMCore:
         is_mem_at = self._is_mem_at
         prebuilt = self._candidates
         wake = SLEEP_FOREVER
-        for w in self.warps:
-            if w.finished or w.outstanding:
+        for w in self._issuable:
+            # Never true while the pool is maintained. A count corrupted
+            # behind the pipeline's back is skipped, as the full scan did,
+            # so the integrity sweep still sees it before the warp issues.
+            if w.outstanding:
                 continue
             ready_at = w.ready_at
             if ready_at > now:
@@ -378,6 +389,8 @@ class SMCore:
         # Stall on use: the warp resumes when its last request returns.
         warp.outstanding += len(lines)
         self.mem_requests_issued += len(lines)
+        if lines:
+            self._issuable.remove(warp)
         warp.ready_at = now + 1
         tel = self._telemetry
         if tel is not None and tel.events:
@@ -523,6 +536,10 @@ class SMCore:
         if warp.outstanding == 0:
             warp.ready_at = max(warp.ready_at, when)
             self.sleep_until = 0
+            if not warp.finished:
+                self._issuable.insert(
+                    bisect_left(self._issuable, warp.warp_id, key=_WARP_ID), warp
+                )
             tel = self._telemetry
             if tel is not None and tel.events:
                 tel.emit(
@@ -534,6 +551,8 @@ class SMCore:
         warp.advance()
         if warp.finished:
             self._finished_warps += 1
+            if not warp.outstanding:
+                self._issuable.remove(warp)
             self._scheduler.notify_warp_finished(warp.warp_id)
 
     # ------------------------------------------------------------------
@@ -572,6 +591,14 @@ class SMCore:
                 violate(f"finished warp {w.warp_id} still has "
                         f"{w.outstanding} requests in flight")
             outstanding += w.outstanding
+        pool = [w.warp_id for w in self._issuable]
+        if any(a >= b for a, b in zip(pool, pool[1:])):
+            violate(f"issuable pool {pool} is not in ascending warp order")
+        expected = [w.warp_id for w in self.warps if not (w.finished or w.outstanding)]
+        if pool != expected or any(
+                w is not self.warps[w.warp_id] for w in self._issuable):
+            violate(f"issuable pool {pool} differs from the warps that are "
+                    f"neither finished nor outstanding {expected}")
         in_flight = self.mem_requests_issued - self.mem_requests_completed
         if outstanding != in_flight:
             violate(
@@ -590,6 +617,7 @@ class SMCore:
             if pending.warp.finished:
                 violate(f"replay queue holds a load of finished warp "
                         f"{pending.warp.warp_id}")
+        self._scheduler.check_invariants()
 
     def describe(self) -> dict:
         """JSON-ready snapshot of this SM (watchdog/invariant diagnostics)."""

@@ -62,7 +62,7 @@ class GPUSimulator:
     """Runs one kernel across ``config.num_sms`` SMs."""
 
     __slots__ = ("_kernel", "_config", "stats", "_subsystem", "_sms",
-                 "_engines", "_now", "_prev_cycle", "_finished",
+                 "_engines", "_now", "_prev_cycle", "_finished", "_done_sms",
                  "_integrity", "watchdog", "telemetry")
 
     def __init__(
@@ -98,6 +98,10 @@ class GPUSimulator:
         #: Cycle of the last completed tick; the monotonic-clock guard.
         self._prev_cycle: Optional[int] = None
         self._finished = False
+        #: SMs ``_sms[:_done_sms]`` are done. ``SMCore.done`` never reverts,
+        #: so the end-of-kernel test advances this prefix instead of asking
+        #: every SM on every tick.
+        self._done_sms = 0
         self._integrity = (
             InvariantChecker(config.integrity_interval)
             if config.integrity_interval
@@ -249,7 +253,12 @@ class GPUSimulator:
             self.stats.idle_cycles += asleep
         if telemetry is not None:
             telemetry.on_tick(now)
-        if all(sm.done for sm in self._sms) and not len(events):
+        sms = self._sms
+        done_sms = self._done_sms
+        while done_sms < len(sms) and sms[done_sms].done:
+            done_sms += 1
+        self._done_sms = done_sms
+        if done_sms == len(sms) and not len(events):
             self._now = now + 1
             self._prev_cycle = now
             self._finished = True

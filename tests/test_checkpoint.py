@@ -103,6 +103,14 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="not a repro checkpoint"):
             load_checkpoint(str(path))
 
+    def test_older_format_rejected(self):
+        # A format-2 pickle lacks the issuable pool and the LLT index.
+        sim = build("apres", mixed_kernel(6), make_config())
+        payload = pickle.loads(sim.snapshot())
+        payload["format"] = 2
+        with pytest.raises(CheckpointError, match="format 2 unsupported"):
+            GPUSimulator.restore(pickle.dumps(payload))
+
     def test_unpicklable_observer_raises_checkpoint_error(self):
         cfg = make_config()
         unpicklable = lambda access, hits: None  # noqa: E731 - the point

@@ -1,9 +1,10 @@
 """Sleeping SMs: the event-driven serial loop against an every-SM reference.
 
 ``GPUSimulator._tick`` skips an SM whose ``sleep_until`` lies in the
-future and only counts its idle cycle. ``ReferenceSimulator`` below keeps
-the loop that calls ``SMCore.cycle`` on every SM on every tick and asks
-every SM for its wake hint; both must produce identical statistics,
+future and only counts its idle cycle, and ``SMCore.cycle`` scans only its
+issuable-warp pool. ``ReferenceSimulator`` below keeps the loop that runs
+every SM on every tick with a scan over *all* its warps, and computes every
+SM's wake hint the same way; both must produce identical statistics,
 engine events and stall attribution.
 """
 
@@ -22,7 +23,7 @@ from repro.isa.instructions import alu, load, store
 from repro.isa.program import KernelSpec
 from repro.sched.base import IssueCandidate
 from repro.sched.lrr import LRRScheduler
-from repro.sm.pipeline import SLEEP_FOREVER
+from repro.sm.pipeline import SLEEP_FOREVER, SMCore
 from repro.sm.simulator import GPUSimulator
 from repro.telemetry import TelemetryHub
 
@@ -35,8 +36,56 @@ SM_COUNTS = (1, 2, 15)
 L1_SIZES = (32 * KB, 32 * MB)
 
 
+def full_scan_cycle(sm: SMCore, now: int) -> bool:
+    """``SMCore.cycle`` as it was before the issuable pool: every warp is
+    scanned and the finished and outstanding ones are skipped in place."""
+    replay = sm._replay
+    if replay:
+        sm._process_replay(now)
+    lsu_blocked = len(replay) >= sm.LSU_QUEUE_DEPTH
+    tel = sm._telemetry
+    stats = sm._stats
+    gate_base = stats.lsu_structural_stalls
+    candidates = []
+    wake = SLEEP_FOREVER
+    for w in sm.warps:
+        if w.finished or w.outstanding:
+            continue
+        if w.ready_at > now:
+            wake = min(wake, w.ready_at)
+            continue
+        is_mem = sm._is_mem_at[w.pc_index]
+        if is_mem and lsu_blocked:
+            stats.lsu_structural_stalls += 1
+            continue
+        candidates.append(IssueCandidate(w.warp_id, is_mem))
+    if not candidates:
+        stats.idle_cycles += 1
+        if not replay:
+            sm.sleep_until = wake
+        if tel is not None:
+            tel.on_idle(sm, now, stats.lsu_structural_stalls - gate_base)
+        return False
+    chosen = sm._scheduler.select(candidates, now)
+    if chosen is None:
+        stats.idle_cycles += 1
+        if tel is not None:
+            tel.on_throttle(now)
+        return False
+    warp = sm.warps[chosen]
+    sm._issue(warp, warp.current_instr, now)
+    return True
+
+
+def full_scan_wake_hint(sm: SMCore, now: int) -> Optional[int]:
+    hints = [w.ready_at for w in sm.warps
+             if not (w.finished or w.outstanding) and w.ready_at > now]
+    return min(hints, default=None)
+
+
 class ReferenceSimulator(GPUSimulator):
-    """The serial loop before sleeping SMs: every SM cycles every tick."""
+    """The serial loop before sleeping SMs and the issuable pool: every SM
+    cycles every tick over all of its warps."""
 
     def _tick(self) -> None:
         now = self._now
@@ -44,7 +93,7 @@ class ReferenceSimulator(GPUSimulator):
         events.run_until(now)
         issued_any = False
         for sm in self._sms:
-            issued_any |= sm.cycle(now)
+            issued_any |= full_scan_cycle(sm, now)
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_tick(now)
@@ -67,7 +116,7 @@ class ReferenceSimulator(GPUSimulator):
     def _fast_forward(self, now: int) -> int:
         wake: Optional[int] = self._subsystem.events.next_event_cycle
         for sm in self._sms:
-            hint = sm.next_wake_hint(now)
+            hint = full_scan_wake_hint(sm, now)
             if hint is not None and (wake is None or hint < wake):
                 wake = hint
         if wake is None:
