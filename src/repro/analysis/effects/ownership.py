@@ -275,8 +275,8 @@ class Analyzer:
         """Join two inferred concrete param classes to a common ancestor.
 
         Different construction sites may pass different implementations
-        (the serial engine's miss forwarder vs the shard proxy's);
-        last-writer-wins would silently drop one engine's call graph, so
+        of one base class; last-writer-wins would silently drop one
+        implementation's call graph, so
         disagreeing sites meet at their nearest shared project base class
         instead — virtual dispatch then fans out to every subclass — or at
         ``""`` (ambiguous: treated as untyped) when they share none. The

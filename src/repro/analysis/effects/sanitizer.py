@@ -1,10 +1,8 @@
 """``--verify-isolation`` — reconcile dynamic writes with the static proof.
 
 Runs a tiny 2-SM smoke simulation (KM workload, base config, 0.1 scale)
-— once on the serial engine and once on the epoch-barrier shard engine,
-so both memory back-ends leave dynamic evidence — with
-:class:`repro.integrity.isolation.WriteRecorder` instrumentation and
-checks that evidence against the effect analysis' classification:
+with :class:`repro.integrity.isolation.WriteRecorder` instrumentation
+and checks that evidence against the effect analysis' classification:
 
 1. **static_missed** — a ``(class, attr)`` written inside some SM's
    ``cycle`` that the static walk never classified. Either the call graph
@@ -41,8 +39,6 @@ SMOKE_WORKLOAD = "KM"
 SMOKE_CONFIG = "base"
 SMOKE_SCALE = 0.1
 SMOKE_NUM_SMS = 2
-#: Shard count for the sanitizer's second (epoch-barrier engine) leg.
-SMOKE_SHARDS = 2
 
 
 def _static_classifications(
@@ -150,19 +146,11 @@ def run_isolation_smoke(
     recorder.install(instrumented)
     recorder.wrap_cycle(SMCore)
     try:
-        spec = workload(SMOKE_WORKLOAD)
-        kernel = build_kernel(spec, SMOKE_SCALE)
-        cfg = experiment_gpu_config(num_sms)
-        engine = CONFIGS[SMOKE_CONFIG].build
-        simulator = GPUSimulator(kernel, cfg, engine)
+        kernel = build_kernel(workload(SMOKE_WORKLOAD), SMOKE_SCALE)
+        simulator = GPUSimulator(kernel, experiment_gpu_config(num_sms),
+                                 CONFIGS[SMOKE_CONFIG].build)
         recorder.context = CTX_EPOCH
         simulator.run()
-        # Second leg: the epoch-barrier shard engine, so its boundary
-        # classes (SharedL2Core, ShardMemoryProxy) are reconciled against
-        # dynamic evidence too, not just the serial subsystem's.
-        from repro.shard import ShardPlan, shard_execute
-
-        shard_execute(kernel, cfg, engine, ShardPlan(SMOKE_SHARDS, 1))
     finally:
         recorder.uninstall()
 

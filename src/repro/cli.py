@@ -56,21 +56,6 @@ workers are killed after SEC silent seconds and their points requeued
 with capped jittered backoff, poisoned points are quarantined after N
 dispatches, and the pool degrades to serial if workers keep dying.
 
-``run``, ``figure`` and ``sweep`` accept ``--shards N`` to split the
-simulated GPU's SMs over N epoch-barrier shard workers inside each run
-(``--epoch-cycles E`` sets the barrier interval, ``--shard-backend``
-picks in-process or OS-process workers). ``E=1`` is lock-step and
-bit-identical to serial — same metrics, same registry run ids; larger
-``E`` (default 64) trades bounded fill-latency drift for speed and is
-recorded under its own engine tag so drifted statistics never mix with
-the serial lineage. Shards compose with ``--jobs`` only in-process:
-``--jobs`` owns the process budget, so ``--shard-backend process`` with
-a pool is refused. ``--telemetry``/``--trace-out``/``--intervals-out``
-(and sweep's ``--trace-dir``) work under shards: each lane records into
-per-lane buffers and the parent merges them at every epoch barrier, so
-lock-step (``E=1``) telemetry artifacts are byte-identical to serial
-(see :mod:`repro.shard.telemetry`).
-
 ``run``, ``sweep`` and ``figure`` accept ``--metrics-out FILE`` to dump
 the process-wide operational metrics registry (counters, gauges,
 histograms — see :mod:`repro.telemetry.metrics`) as JSON, plus a
@@ -234,7 +219,7 @@ def _maybe_write_metrics(args: argparse.Namespace) -> None:
     """Export the operational metrics registry when ``--metrics-out`` asks.
 
     Written last, after the command's work, so the export reflects every
-    counter the run touched (shard windows, cache hits, retries, ...).
+    counter the run touched (cache hits, pool requeues, ...).
     """
     out = getattr(args, "metrics_out", None)
     if not out:
@@ -247,88 +232,14 @@ def _maybe_write_metrics(args: argparse.Namespace) -> None:
     print(f"metrics: {out} (+ {prom_path})")
 
 
-def _resolve_shard_plan(args: argparse.Namespace, jobs: int = 1):
-    """The ShardPlan the ``--shards`` flags describe, or None (serial)."""
-    from repro.shard import resolve_plan
-
-    return resolve_plan(
-        getattr(args, "shards", None),
-        epoch_cycles=getattr(args, "epoch_cycles", None),
-        backend=getattr(args, "shard_backend", None),
-        jobs=jobs,
-    )
-
-
-def _resolve_sampling_plan(args: argparse.Namespace):
-    """The SamplingPlan the ``--sampled`` flags describe, or None (full)."""
-    from repro.errors import SamplingConfigError
-    from repro.sampling import SamplingPlan
-
-    extras = {
-        "--sample-intervals": getattr(args, "sample_intervals", None),
-        "--sample-warmup": getattr(args, "sample_warmup", None),
-        "--sample-clusters": getattr(args, "sample_clusters", None),
-    }
-    if not getattr(args, "sampled", False):
-        given = [name for name, value in extras.items() if value is not None]
-        if given:
-            raise SamplingConfigError(
-                f"{', '.join(given)} require --sampled",
-                details={"flags": given},
-            )
-        return None
-    kwargs = {}
-    if extras["--sample-intervals"] is not None:
-        kwargs["interval_cycles"] = extras["--sample-intervals"]
-    if extras["--sample-warmup"] is not None:
-        kwargs["warmup_cycles"] = extras["--sample-warmup"]
-    if extras["--sample-clusters"] is not None:
-        kwargs["clusters"] = extras["--sample-clusters"]
-    return SamplingPlan(**kwargs)
-
-
-def _print_sampling_info(info: Optional[dict]) -> None:
-    if not info:
-        return
-    bar = info["error_bars_rel"]["ipc"] * 100
-    source = "cached" if info["profile"]["cached"] else "built"
-    print(f"sampled estimator: {info['clusters']} representatives over "
-          f"{info['profile']['intervals']} intervals "
-          f"(W={info['plan']['interval_cycles']}), detailed "
-          f"{info['detailed_cycles']:,}/{info['total_cycles']:,} cycles "
-          f"({info['cycle_reduction']:.1f}x reduction), "
-          f"IPC {info['estimates']['ipc']:.3f} +/- {bar:.1f}% "
-          f"(profile {source})")
-
-
-def _print_shard_info(info: Optional[dict]) -> None:
-    if not info:
-        return
-    mode = "lock-step (bit-exact)" if info["bit_exact"] else "relaxed"
-    line = (f"shard engine: {info['shards']} shards x "
-            f"E={info['epoch_cycles']} {mode}, "
-            f"{info['windows_run']} windows")
-    if not info["bit_exact"]:
-        line += (f", {info['clamped_fills']} clamped fills "
-                 f"(max clamp {info['max_clamp_cycles']} cycles)")
-    if info.get("degraded"):
-        line += " [degraded to serial]"
-    elif info.get("attempts", 1) > 1:
-        line += f" [{info['attempts']} attempts]"
-    print(line)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     import time
 
     hub = _build_run_hub(args)
-    plan = _resolve_shard_plan(args)
-    sampling = _resolve_sampling_plan(args)
     gpu_config = _limited_gpu_config(args)
     started = time.perf_counter()
     result = run(args.app, args.config, scale=args.scale,
-                 gpu_config=gpu_config, telemetry=hub, shard_plan=plan,
-                 sampling_plan=sampling)
+                 gpu_config=gpu_config, telemetry=hub)
     wall_time_s = time.perf_counter() - started
     s = result.sim.stats
     rows = [
@@ -346,11 +257,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ["dynamic energy (pJ)", f"{result.energy.total:.0f}"],
     ]
     title = f"{args.app} under {args.config} (scale={args.scale})"
-    if result.sampling_info is not None:
-        title += " [sampled estimate]"
     print(format_table(["Metric", "Value"], rows, title=title))
-    _print_shard_info(result.shard_info)
-    _print_sampling_info(result.sampling_info)
     if hub is not None:
         report = hub.reconcile(s)
         print()
@@ -370,7 +277,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         record = registry.put(run_record(
             result, args.scale, gpu_config,
             stalls=stalls, wall_time_s=wall_time_s,
-            engine_tag=plan.identity_tag if plan is not None else None,
         ))
         print(f"registry: {record.run_id} -> {registry.root}")
     _maybe_write_metrics(args)
@@ -552,25 +458,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     apps = args.apps or None
     name = f"figure{args.number}"
     from repro.experiments.parallel import figure_points
-    from repro.experiments.runner import (
-        set_default_sampling_plan,
-        set_default_shard_plan,
-    )
 
-    jobs = _resolved_jobs(args)
-    plan = _resolve_shard_plan(args, jobs=jobs)
-    sampling = _resolve_sampling_plan(args)
-    # The figure producers only ever call runner.run(); the process-wide
-    # default plans route every one of their points through the shard or
-    # sampled engine without threading a parameter into the producer API.
-    set_default_shard_plan(plan)
-    set_default_sampling_plan(sampling)
-    try:
-        _prewarm_points(figure_points(name, apps, args.scale), jobs)
-        payload = getattr(figures, name)(apps, args.scale)
-    finally:
-        set_default_shard_plan(None)
-        set_default_sampling_plan(None)
+    _prewarm_points(figure_points(name, apps, args.scale), _resolved_jobs(args))
+    payload = getattr(figures, name)(apps, args.scale)
     _FIGURE_PRINTERS[args.number](payload)
     _ingest_figure(args, name, payload, args.scale, apps)
     _maybe_write_metrics(args)
@@ -589,7 +479,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_REPRO_ERROR
 
     jobs = _resolved_jobs(args)
-    plan = _resolve_shard_plan(args, jobs=jobs)
     # One writer for progress lines and (parallel) worker heartbeats, so
     # concurrent sources never interleave mid-line.
     writer = ProgressWriter()
@@ -630,8 +519,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         heartbeat_writer=writer,
         retry_failed=args.retry_failed,
         supervisor=supervisor,
-        shard_plan=plan,
-        sampling_plan=_resolve_sampling_plan(args),
     )
     rows = [
         ["points", summary.total_points],
@@ -667,185 +554,6 @@ BASELINE_SCORECARD = os.path.join("bench_results", "baseline_scorecard.json")
 #: Where ``repro bench`` writes its headline speed measurement.
 BENCH_SIM_SPEED = os.path.join("bench_results", "BENCH_sim_speed.json")
 
-#: Where ``repro bench --shards-axis`` writes the serial-vs-sharded
-#: cycles/second comparison.
-BENCH_SHARD_SPEED = os.path.join("bench_results", "BENCH_shard_speed.json")
-
-#: Where ``repro bench --telemetry-axis`` writes the telemetry-overhead
-#: measurement backing DESIGN.md's table.
-BENCH_TELEMETRY_OVERHEAD = os.path.join(
-    "bench_results", "BENCH_telemetry_overhead.json")
-
-#: Where ``repro bench --sampled-axis`` writes the sampled-vs-full
-#: accuracy and speedup measurement.
-BENCH_SAMPLED_SPEED = os.path.join(
-    "bench_results", "BENCH_sampled_speed.json")
-
-
-def _cmd_bench_sampled(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.bench import DEFAULT_FIGURE2_APPS, run_sampled_bench
-
-    apps = tuple(args.apps) if args.apps else DEFAULT_FIGURE2_APPS
-    # --sampled-axis implies sampling; the --sample-* knobs apply directly.
-    args.sampled = True
-    payload = run_sampled_bench(
-        scale=args.scale, apps=apps, plan=_resolve_sampling_plan(args))
-
-    out = args.out or BENCH_SAMPLED_SPEED
-    directory = os.path.dirname(out)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = []
-        for key, cell in payload["workloads"].items():
-            rows.append([
-                key,
-                f"{cell['full']['ipc']:.3f}",
-                f"{cell['sampled']['ipc']:.3f}",
-                f"{cell['ipc_err_pct']:+.2f}%",
-                f"+/-{cell['ipc_bar_pct']:.2f}%",
-                f"{cell['cycle_reduction']:.1f}x",
-                "yes" if cell["covered"] else "NO",
-            ])
-        totals = payload["totals"]
-        print(format_table(
-            ["Workload", "Full IPC", "Sampled IPC", "Err", "Bar",
-             "Detail reduction", "Bar covers err"],
-            rows,
-            title=(f"Sampled vs full (scale={payload['scale']}, "
-                   f"{payload['config']}, {payload['plan']['tag']})")))
-        print(f"headline: worst IPC error {totals['max_ipc_err_pct']:.2f}%, "
-              f"min detailed-cycle reduction "
-              f"{totals['min_cycle_reduction']:.1f}x, overall "
-              f"{totals['overall_cycle_reduction']:.1f}x, warm sampled "
-              f"wall speedup {totals['sampled_speedup_warm']:.1f}x")
-        print(f"bench json: {out}")
-    registry = _registry(args)
-    if registry is not None:
-        from repro.registry.records import bench_record
-
-        record = registry.put(bench_record(payload))
-        if not args.json:
-            print(f"registry: {record.run_id} -> {registry.root}")
-    return 0
-
-
-def _cmd_bench_telemetry(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.bench import run_telemetry_bench
-
-    kwargs = {"scale": args.scale}
-    if args.repeats:
-        kwargs["repeats"] = args.repeats
-    payload = run_telemetry_bench(**kwargs)
-
-    out = args.out or BENCH_TELEMETRY_OVERHEAD
-    directory = os.path.dirname(out)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = []
-        for mode, cells in payload["modes"].items():
-            for label, cell in cells.items():
-                rows.append([
-                    mode, label, f"{cell['wall_s']:.3f}",
-                    f"{cell['cycles_per_s']:,.0f}",
-                    f"{cell['overhead_pct_vs_off']:+.1f}%",
-                ])
-        print(format_table(
-            ["Telemetry", "Engine", "Wall s", "Cycles/s", "vs off"], rows,
-            title=(f"Telemetry overhead ({payload['workload']}/"
-                   f"{payload['config']}, scale={payload['scale']}, "
-                   f"median of {payload['repeats']})")))
-        head = payload["headline"]
-        print(f"headline: stalls {head['stalls_overhead_pct']:+.1f}%, "
-              f"trace {head['trace_overhead_pct']:+.1f}%, "
-              f"stalls-under-shards {head['shard_stalls_overhead_pct']:+.1f}% "
-              "(each vs the same engine with telemetry off)")
-        print(f"bench json: {out}")
-    registry = _registry(args)
-    if registry is not None:
-        from repro.registry.records import bench_record
-
-        record = registry.put(bench_record(payload))
-        if not args.json:
-            print(f"registry: {record.run_id} -> {registry.root}")
-    return 0
-
-
-def _cmd_bench_shards(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.bench import (
-        DEFAULT_FIGURE2_APPS,
-        SHARD_BENCH_COUNTS,
-        run_shard_bench,
-    )
-
-    apps = tuple(args.apps) if args.apps else DEFAULT_FIGURE2_APPS
-    payload = run_shard_bench(
-        scale=args.scale, apps=apps,
-        epoch_cycles=args.epoch_cycles,
-        shard_counts=tuple(args.shards) if args.shards else SHARD_BENCH_COUNTS,
-    )
-
-    out = args.out or BENCH_SHARD_SPEED
-    directory = os.path.dirname(out)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = []
-        for label, eng in payload["engines"].items():
-            for p in eng["points"]:
-                rows.append([
-                    label, p["workload"], p["cycles"], f"{p['wall_s']:.2f}",
-                    f"{p['cycles_per_s']:,.0f}",
-                    (f"{p['ipc_drift_pct']:+.3f}%"
-                     if "ipc_drift_pct" in p else "-"),
-                ])
-            totals = eng["totals"]
-            speedup = totals.get("speedup_vs_serial")
-            rows.append([
-                label, "(total)", totals["cycles"],
-                f"{totals['wall_s']:.2f}", f"{totals['cycles_per_s']:,.0f}",
-                f"{speedup:.2f}x vs serial" if speedup else "-",
-            ])
-        print(format_table(
-            ["Engine", "App", "Cycles", "Wall s", "Cycles/s", "IPC drift"],
-            rows,
-            title=(f"Shard engine speed (scale={payload['scale']}, "
-                   f"{payload['num_sms']} SMs, {payload['config']}, "
-                   f"E={payload['epoch_cycles']}, "
-                   f"median of {payload['repeats']})")))
-        head = payload["headline"]
-        print(f"headline: {head['engine']} at "
-              f"{head['speedup_vs_serial']:.2f}x serial cycles/s")
-        print(f"bench json: {out}")
-    registry = _registry(args)
-    if registry is not None:
-        from repro.registry.records import bench_record
-
-        record = registry.put(bench_record(payload))
-        if not args.json:
-            print(f"registry: {record.run_id} -> {registry.root}")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
@@ -855,28 +563,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
     )
 
-    axes = [name for name, on in [("--shards-axis", args.shards_axis),
-                                  ("--telemetry-axis", args.telemetry_axis),
-                                  ("--sampled-axis", args.sampled_axis)] if on]
-    if len(axes) > 1:
-        raise ReproError(f"{' and '.join(axes)} are separate bench modes; "
-                         "pick one")
-    if args.shards_axis:
-        return _cmd_bench_shards(args)
-    if args.telemetry_axis:
-        return _cmd_bench_telemetry(args)
-    if args.sampled_axis:
-        return _cmd_bench_sampled(args)
-    if args.shards or args.epoch_cycles:
-        raise ReproError("--shards/--epoch-cycles only apply to "
-                         "bench --shards-axis")
-    if args.repeats:
-        raise ReproError("--repeats only applies to bench --telemetry-axis")
-    if (args.sampled or args.sample_intervals is not None
-            or args.sample_warmup is not None
-            or args.sample_clusters is not None):
-        raise ReproError("--sampled/--sample-* only apply to "
-                         "bench --sampled-axis")
     points = DEFAULT_POINTS
     if args.apps:
         points = tuple((app, config) for app, config in DEFAULT_POINTS
@@ -936,9 +622,7 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
 
     names = list(args.figures) if args.figures else list(DEFAULT_SCORECARD_FIGURES)
     from repro.experiments.parallel import scorecard_points
-    from repro.experiments.runner import set_default_sampling_plan
 
-    set_default_sampling_plan(_resolve_sampling_plan(args))
     try:
         _prewarm_points(scorecard_points(names, args.apps or None, args.scale),
                         _resolved_jobs(args))
@@ -947,8 +631,6 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REPRO_ERROR
-    finally:
-        set_default_sampling_plan(None)
     if args.out:
         directory = os.path.dirname(args.out)
         if directory:
@@ -971,27 +653,8 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sampling_bars(record_like: Optional[dict]) -> dict:
-    """Per-metric absolute error bars from a sampled record, else {}.
-
-    Sampled run records carry ``data.sampling.error_bars`` whose keys
-    (``ipc``, ``instructions``, ``l1.accesses``, ...) match the record's
-    flattened metric names, so the bars feed ``diff_metrics`` directly.
-    """
-    if not isinstance(record_like, dict):
-        return {}
-    sampling = (record_like.get("data") or {}).get("sampling") \
-        if "data" in record_like else record_like.get("sampling")
-    if not isinstance(sampling, dict):
-        return {}
-    bars = sampling.get("error_bars")
-    if not isinstance(bars, dict):
-        return {}
-    return {str(key): float(value) for key, value in bars.items()}
-
-
-def _load_json_metrics(path: str) -> tuple[dict, Optional[dict], dict]:
-    """(flat metrics, scorecard payload or None, error bars) from a file."""
+def _load_json_metrics(path: str) -> tuple[dict, Optional[dict]]:
+    """(flat metrics, scorecard payload or None) from a file."""
     import json
 
     from repro.registry.records import flatten_metrics
@@ -1001,38 +664,33 @@ def _load_json_metrics(path: str) -> tuple[dict, Optional[dict], dict]:
     if isinstance(payload, dict) and "figures" in payload and "schema" in payload:
         # A scorecard JSON: diff its fidelity metrics (same slice that
         # scorecard_record indexes into the registry).
-        return flatten_metrics(payload["figures"]), payload, {}
+        return flatten_metrics(payload["figures"]), payload
     if isinstance(payload, dict) and "metrics" in payload and "run_id" in payload:
         # An exported registry record.
-        return dict(payload["metrics"]), None, _sampling_bars(payload)
-    return flatten_metrics(payload), None, {}
+        return dict(payload["metrics"]), None
+    return flatten_metrics(payload), None
 
 
 def _resolve_diff_ref(
     ref: str, nth: int = 0,
-) -> tuple[dict, str, Optional[dict], dict]:
-    """(flat metrics, label, scorecard payload or None, error bars).
+) -> tuple[dict, str, Optional[dict]]:
+    """(flat metrics, label, scorecard payload or None).
 
     A ref is ``baseline`` (the committed baseline scorecard), a JSON file
     path, or a registry run-id prefix (``nth`` selects the occurrence,
-    newest first). The error bars are non-empty only for sampled records
-    — a sampled point estimate is compared within its own stated
-    uncertainty.
+    newest first).
     """
     from repro.registry.store import RegistryStore
 
     path = BASELINE_SCORECARD if ref == "baseline" else ref
     if os.path.exists(path):
-        metrics, payload, bars = _load_json_metrics(path)
-        return metrics, path, payload, bars
+        metrics, payload = _load_json_metrics(path)
+        return metrics, path, payload
     record = RegistryStore().resolve(ref, nth=nth)
     suffix = "" if nth == 0 else f"~{nth}"
     label = f"{record['run_id']}{suffix} ({record.get('name', '?')})"
-    if record.get("kind") == "scorecard":
-        return (dict(record.get("metrics") or {}), label,
-                record.get("data"), {})
-    return (dict(record.get("metrics") or {}), label, None,
-            _sampling_bars(record))
+    payload = record.get("data") if record.get("kind") == "scorecard" else None
+    return dict(record.get("metrics") or {}), label, payload
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -1056,10 +714,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             return EXIT_REPRO_ERROR
         overrides[pattern] = float(value)
 
-    metrics_a, label_a, scorecard_a, bars_a = _resolve_diff_ref(args.ref_a)
-    bars_b: dict = {}
+    metrics_a, label_a, scorecard_a = _resolve_diff_ref(args.ref_a)
     if args.ref_b:
-        metrics_b, label_b, _, bars_b = _resolve_diff_ref(args.ref_b)
+        metrics_b, label_b, _ = _resolve_diff_ref(args.ref_b)
     elif scorecard_a is not None:
         # One scorecard ref: regenerate at its scale/apps and compare.
         from repro.registry.scorecard import scorecard
@@ -1074,20 +731,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         metrics_b, label_b = flatten_metrics(payload["figures"]), "current"
     else:
         # One run-id ref: latest occurrence vs the previous one.
-        metrics_b, label_b, bars_b = metrics_a, label_a, bars_a
-        metrics_a, label_a, _, bars_a = _resolve_diff_ref(args.ref_a, nth=1)
-
-    # When both sides are sampled estimates, their uncertainties add.
-    bars = dict(bars_a)
-    for key, value in bars_b.items():
-        bars[key] = bars.get(key, 0.0) + value
+        metrics_b, label_b = metrics_a, label_a
+        metrics_a, label_a, _ = _resolve_diff_ref(args.ref_a, nth=1)
 
     report = diff_metrics(
         metrics_a, metrics_b,
         rtol=rtol, atol=atol,
         overrides=overrides, ignore=args.ignore or (),
         label_a=label_a, label_b=label_b,
-        bars=bars,
     )
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -1237,41 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump the operational metrics registry as JSON "
                             "to FILE plus a Prometheus textfile (FILE.prom)")
 
-    def add_sampling_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sampled", action="store_true",
-                       help="estimate each run from clustered representative "
-                            "intervals instead of simulating every cycle "
-                            "(10x+ fewer detailed cycles; results carry "
-                            "error bars and a distinct cache lineage)")
-        p.add_argument("--sample-intervals", type=int, default=None,
-                       metavar="W",
-                       help="profiling interval width in cycles "
-                            "(default 200; requires --sampled)")
-        p.add_argument("--sample-warmup", type=int, default=None, metavar="N",
-                       help="extra detailed warmup cycles before each "
-                            "representative interval (default 0; requires "
-                            "--sampled)")
-        p.add_argument("--sample-clusters", type=int, default=None,
-                       metavar="K",
-                       help="number of representative intervals (default: "
-                            "auto, one per ~12 intervals; requires --sampled)")
-
-    def add_shard_flags(p: argparse.ArgumentParser) -> None:
-        from repro.shard import BACKENDS
-
-        p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="partition each run's SMs across N shard "
-                            "workers (epoch-barrier engine); E=1 is "
-                            "lock-step and bit-identical to serial")
-        p.add_argument("--epoch-cycles", type=int, default=None, metavar="E",
-                       help="cycles each shard simulates between barriers "
-                            "(default 64; 1 = exact lock-step; requires "
-                            "--shards)")
-        p.add_argument("--shard-backend", choices=BACKENDS, default=None,
-                       help="barrier transport: inproc (default) or one "
-                            "OS process per shard (requires --shards; "
-                            "incompatible with --jobs > 1)")
-
     p_run = sub.add_parser("run", help="simulate one workload/configuration")
     p_run.add_argument("app", choices=sorted(SUITE))
     p_run.add_argument("config", choices=sorted(CONFIGS))
@@ -1288,8 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_flags(p_run)
     add_integrity_flags(p_run)
     add_registry_flag(p_run)
-    add_shard_flags(p_run)
-    add_sampling_flags(p_run)
     add_metrics_flag(p_run)
 
     p_trace = sub.add_parser(
@@ -1330,8 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--scale", type=float, default=0.5)
     p_fig.add_argument("--apps", nargs="*", metavar="APP")
     add_parallel_flags(p_fig)
-    add_shard_flags(p_fig)
-    add_sampling_flags(p_fig)
     add_registry_flag(p_fig)
     add_metrics_flag(p_fig)
 
@@ -1380,8 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="supervised pool: quarantine a point after N "
                               "dispatch attempts (default 3)")
     add_parallel_flags(p_sweep, cache=True)
-    add_shard_flags(p_sweep)
-    add_sampling_flags(p_sweep)
     add_integrity_flags(p_sweep)
     add_registry_flag(p_sweep)
     add_metrics_flag(p_sweep)
@@ -1401,32 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the end-to-end figure2 wall-clock timing")
     p_bench.add_argument("--json", action="store_true",
                          help="emit the bench payload as JSON on stdout")
-    p_bench.add_argument("--shards-axis", action="store_true",
-                         help="benchmark the epoch-barrier shard engine "
-                              "instead: serial vs sharded cycles/second on "
-                              "the figure-2 workload set at 15 SMs, written "
-                              f"to {BENCH_SHARD_SPEED}")
-    p_bench.add_argument("--shards", nargs="+", type=int, default=None,
-                         metavar="N",
-                         help="with --shards-axis: shard counts to time "
-                              "(default: 2 4)")
-    p_bench.add_argument("--epoch-cycles", type=int, default=None, metavar="E",
-                         help="with --shards-axis: barrier interval "
-                              "(default: the engine default, 64)")
-    p_bench.add_argument("--telemetry-axis", action="store_true",
-                         help="benchmark telemetry overhead instead: off vs "
-                              "stalls vs full trace, serial vs the lock-step "
-                              "2-shard merge, written to "
-                              f"{BENCH_TELEMETRY_OVERHEAD}")
-    p_bench.add_argument("--repeats", type=int, default=None, metavar="R",
-                         help="with --telemetry-axis: interleaved repeats "
-                              "per cell (default 5, median reported)")
-    p_bench.add_argument("--sampled-axis", action="store_true",
-                         help="benchmark the sampled estimator instead: "
-                              "full vs sampled IPC, per-workload error bars "
-                              "and detailed-cycle reduction on the figure-2 "
-                              f"set, written to {BENCH_SAMPLED_SPEED}")
-    add_sampling_flags(p_bench)
     add_registry_flag(p_bench)
 
     p_score = sub.add_parser(
@@ -1445,7 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--out", metavar="FILE", default=None,
                          help="also write the scorecard JSON to FILE")
     add_parallel_flags(p_score)
-    add_sampling_flags(p_score)
     add_registry_flag(p_score)
 
     p_diff = sub.add_parser(

@@ -55,46 +55,6 @@ class CheckpointError(ReproError):
     """A simulator snapshot could not be written, read, or restored."""
 
 
-class ShardConfigError(ConfigError):
-    """Invalid or unsupported sharded-execution configuration.
-
-    Raised when ``--shards`` is combined with a feature the epoch-barrier
-    engine cannot support yet (checkpointing, telemetry hubs, trace
-    capture) or when the shard/worker budget is inconsistent with
-    ``--jobs``. ``details`` names the offending combination.
-    """
-
-
-class ShardWorkerLost(SimulationError):
-    """A shard worker process died or missed its barrier deadline.
-
-    ``details`` carries the worker id, the epoch window it was executing
-    and the failure kind (``"eof"`` for a dead pipe, ``"deadline"`` for a
-    missed heartbeat). The engine catches this internally to retry or
-    degrade to the serial engine; it escapes only when recovery is
-    disabled.
-    """
-
-
-class SamplingConfigError(ConfigError):
-    """Invalid or unsupported sampled-execution configuration.
-
-    Raised when ``--sampled`` is combined with a feature the sampled
-    executor cannot honour (telemetry hubs, intra-run sharding) or when
-    a plan parameter is out of range. ``details`` names the offending
-    combination.
-    """
-
-
-class SamplingError(ReproError):
-    """The sampled executor reached an inconsistent state.
-
-    Raised when a restored checkpoint does not replay to the measured
-    interval's boundary (the bit-identical-continuation contract broke)
-    or when a profile is internally inconsistent with its checkpoints.
-    """
-
-
 class WorkloadError(ReproError):
     """Invalid workload specification."""
 

@@ -23,9 +23,6 @@ its provenance stamp rather than pretending otherwise.
 
 from __future__ import annotations
 
-import dataclasses
-import gc
-import statistics
 import time
 from typing import Any, Optional, Sequence
 
@@ -109,388 +106,3 @@ def run_bench(
         }
         payload["totals"]["figure2_wall_s"] = wall_s
     return payload
-
-
-#: Shard counts the shard-speed bench measures against the serial engine.
-SHARD_BENCH_COUNTS: tuple[int, ...] = (2, 4)
-
-#: Configuration the shard bench times (the paper's headline engine).
-SHARD_BENCH_CONFIG = "apres"
-
-#: SM count for the shard bench: the full 15-SM GPU of the paper's
-#: methodology. The experiment config trims to 2 SMs for CI speed, which
-#: would leave an N-shard split nothing to fast-forward past.
-SHARD_BENCH_NUM_SMS = 15
-
-
-def run_shard_bench(
-    scale: float = DEFAULT_SCALE,
-    apps: Sequence[str] = DEFAULT_FIGURE2_APPS,
-    shard_counts: Sequence[int] = SHARD_BENCH_COUNTS,
-    config: str = SHARD_BENCH_CONFIG,
-    num_sms: int = SHARD_BENCH_NUM_SMS,
-    repeats: int = 3,
-    epoch_cycles: Optional[int] = None,
-) -> dict[str, Any]:
-    """Serial vs sharded cycles/second over the figure-2 workload set.
-
-    Single-shot wall-clock on a shared host is noisy enough to swamp the
-    effect being measured, so every (app, engine) cell is timed
-    ``repeats`` times with the engines *interleaved* inside each repeat
-    (serial, 2 shards, 4 shards, next repeat ...) and reduced to the
-    median; gc is disabled around the timed region so a collection
-    doesn't land inside one engine's slot. Relaxed epochs trade fill
-    latency fidelity for speed, so each sharded engine also reports its
-    measured IPC drift and clamped-fill counts against the serial stats
-    it approximates — the speedup number is only honest next to the
-    drift it buys.
-    """
-    from repro.experiments.configs import CONFIGS, experiment_gpu_config
-    from repro.registry.provenance import collect_provenance
-    from repro.shard import DEFAULT_EPOCH_CYCLES, ShardPlan, shard_execute
-    from repro.sm.simulator import simulate
-    from repro.workloads.suite import workload
-    from repro.workloads.synthetic import build_kernel
-
-    epochs = DEFAULT_EPOCH_CYCLES if epoch_cycles is None else epoch_cycles
-    cfg = dataclasses.replace(experiment_gpu_config(), num_sms=num_sms)
-    engine = CONFIGS[config]
-    plans: list[tuple[str, Optional[ShardPlan]]] = [("serial", None)]
-    plans += [(f"shard{n}", ShardPlan(n, epochs)) for n in shard_counts]
-
-    kernels = {app: build_kernel(workload(app), scale) for app in apps}
-    walls: dict[tuple[str, str], list[float]] = {}
-    outcomes: dict[tuple[str, str], tuple[Any, Optional[dict]]] = {}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for app in apps:
-                for label, plan in plans:
-                    started = time.perf_counter()
-                    if plan is None:
-                        sim = simulate(kernels[app], cfg, engine.build)
-                        info = None
-                    else:
-                        sim, info = shard_execute(
-                            kernels[app], cfg, engine.build, plan
-                        )
-                    wall_s = time.perf_counter() - started
-                    walls.setdefault((app, label), []).append(wall_s)
-                    outcomes[(app, label)] = (sim.stats, info)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    def engine_payload(label: str, plan: Optional[ShardPlan]) -> dict[str, Any]:
-        points = []
-        total_cycles = 0
-        total_wall = 0.0
-        for app in apps:
-            stats, info = outcomes[(app, label)]
-            wall_s = statistics.median(walls[(app, label)])
-            point: dict[str, Any] = {
-                "workload": app,
-                "cycles": stats.cycles,
-                "ipc": stats.ipc,
-                "wall_s": wall_s,
-                "cycles_per_s": stats.cycles / wall_s if wall_s > 0 else 0.0,
-            }
-            if info is not None:
-                serial_ipc = outcomes[(app, "serial")][0].ipc
-                point["ipc_drift_pct"] = (
-                    100.0 * (stats.ipc - serial_ipc) / serial_ipc
-                    if serial_ipc else 0.0
-                )
-                point["clamped_fills"] = info["clamped_fills"]
-                point["max_clamp_cycles"] = info["max_clamp_cycles"]
-            points.append(point)
-            total_cycles += stats.cycles
-            total_wall += wall_s
-        payload: dict[str, Any] = {
-            "points": points,
-            "totals": {
-                "cycles": total_cycles,
-                "wall_s": total_wall,
-                "cycles_per_s": (
-                    total_cycles / total_wall if total_wall > 0 else 0.0
-                ),
-            },
-        }
-        if plan is not None:
-            payload["shards"] = plan.num_shards
-            payload["epoch_cycles"] = plan.epoch_cycles
-            payload["bit_exact"] = plan.bit_exact
-        return payload
-
-    engines = {label: engine_payload(label, plan) for label, plan in plans}
-    serial_cps = engines["serial"]["totals"]["cycles_per_s"]
-    for label, _ in plans[1:]:
-        totals = engines[label]["totals"]
-        totals["speedup_vs_serial"] = (
-            totals["cycles_per_s"] / serial_cps if serial_cps else 0.0
-        )
-    headline_label = plans[-1][0]
-    return {
-        "schema": "bench.shard_speed/1",
-        "scale": scale,
-        "config": config,
-        "num_sms": num_sms,
-        "epoch_cycles": epochs,
-        "repeats": repeats,
-        "apps": list(apps),
-        "engines": engines,
-        "headline": {
-            "engine": headline_label,
-            "speedup_vs_serial":
-                engines[headline_label]["totals"]["speedup_vs_serial"],
-        },
-        "provenance": collect_provenance(),
-    }
-
-
-#: Telemetry modes the overhead bench compares. ``off`` is the baseline
-#: (no hub), ``stalls`` is what ``--telemetry`` costs (stall engine +
-#: interval collector, no event objects), ``trace`` is the full event
-#: stream into a Chrome trace builder (``--trace-out``).
-TELEMETRY_BENCH_MODES: tuple[str, ...] = ("off", "stalls", "trace")
-
-#: Workload/config cell for the overhead bench: the thrashing workload
-#: under the paper's engine — the densest stall/event stream in the suite.
-TELEMETRY_BENCH_POINT: tuple[str, str] = ("KM", "apres")
-
-
-def run_telemetry_bench(
-    scale: float = DEFAULT_SCALE,
-    point: tuple[str, str] = TELEMETRY_BENCH_POINT,
-    repeats: int = 5,
-    window: int = 5_000,
-) -> dict[str, Any]:
-    """Telemetry overhead: off vs stalls vs full trace, serial vs sharded.
-
-    Times every (mode, engine) cell ``repeats`` times with the cells
-    interleaved inside each repeat and reduced to the median, gc disabled
-    around the timed region — the same noise discipline as the shard
-    bench. The sharded engine is the lock-step plan (``2 shards, E=1``),
-    i.e. the byte-identical distributed-telemetry merge, so the "shards"
-    column prices the per-lane recording + parent merge, not a different
-    simulation. Hub construction is timed too: the CLI pays it per run.
-
-    The payload backs DESIGN.md's measured-overhead table; overhead
-    percentages are relative to the same engine's ``off`` mode.
-    """
-    from repro.experiments.configs import CONFIGS, experiment_gpu_config
-    from repro.registry.provenance import collect_provenance
-    from repro.shard import ShardPlan, shard_execute
-    from repro.sm.simulator import simulate
-    from repro.telemetry import TelemetryHub
-    from repro.workloads.suite import workload
-    from repro.workloads.synthetic import build_kernel
-
-    app, config = point
-    cfg = experiment_gpu_config()
-    engine = CONFIGS[config]
-    kernel = build_kernel(workload(app), scale)
-    engines: list[tuple[str, Optional[ShardPlan]]] = [
-        ("serial", None), ("shard2xE1", ShardPlan(2, 1))]
-
-    def build_hub(mode: str) -> Optional[TelemetryHub]:
-        if mode == "off":
-            return None
-        return TelemetryHub(window=window, trace=(mode == "trace"))
-
-    walls: dict[tuple[str, str], list[float]] = {}
-    cycles: dict[tuple[str, str], int] = {}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for mode in TELEMETRY_BENCH_MODES:
-                for label, plan in engines:
-                    started = time.perf_counter()
-                    hub = build_hub(mode)
-                    if plan is None:
-                        sim = simulate(kernel, cfg, engine.build,
-                                       telemetry=hub)
-                    else:
-                        sim, _ = shard_execute(kernel, cfg, engine.build,
-                                               plan, telemetry=hub)
-                    wall_s = time.perf_counter() - started
-                    walls.setdefault((mode, label), []).append(wall_s)
-                    cycles[(mode, label)] = sim.stats.cycles
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    cells: dict[str, dict[str, Any]] = {}
-    for mode in TELEMETRY_BENCH_MODES:
-        per_engine: dict[str, Any] = {}
-        for label, _plan in engines:
-            wall_s = statistics.median(walls[(mode, label)])
-            baseline = statistics.median(walls[("off", label)])
-            per_engine[label] = {
-                "wall_s": wall_s,
-                "cycles": cycles[(mode, label)],
-                "cycles_per_s": (
-                    cycles[(mode, label)] / wall_s if wall_s > 0 else 0.0
-                ),
-                "overhead_pct_vs_off": (
-                    100.0 * (wall_s - baseline) / baseline
-                    if baseline > 0 else 0.0
-                ),
-            }
-        cells[mode] = per_engine
-    return {
-        "schema": "bench.telemetry_overhead/1",
-        "scale": scale,
-        "workload": app,
-        "config": config,
-        "num_sms": cfg.num_sms,
-        "window": window,
-        "repeats": repeats,
-        "modes": cells,
-        "headline": {
-            "stalls_overhead_pct":
-                cells["stalls"]["serial"]["overhead_pct_vs_off"],
-            "trace_overhead_pct":
-                cells["trace"]["serial"]["overhead_pct_vs_off"],
-            "shard_stalls_overhead_pct":
-                cells["stalls"]["shard2xE1"]["overhead_pct_vs_off"],
-        },
-        "provenance": collect_provenance(),
-    }
-
-
-#: Configuration the sampled bench measures (the figure-2 baseline cells).
-SAMPLED_BENCH_CONFIG = "base"
-
-#: The two L1 sizes of every figure-2 point: the experiment default and
-#: the paper's effectively-infinite 32 MB cache.
-SAMPLED_BENCH_L1_CELLS: tuple[tuple[str, Optional[int]], ...] = (
-    ("small", None),
-    ("l1_32mb", 32 * 1024 * 1024),
-)
-
-
-def run_sampled_bench(
-    scale: float = DEFAULT_SCALE,
-    apps: Sequence[str] = DEFAULT_FIGURE2_APPS,
-    plan: Optional[Any] = None,
-    config: str = SAMPLED_BENCH_CONFIG,
-) -> dict[str, Any]:
-    """Sampled estimator vs full simulation on the figure-2 point set.
-
-    For every (app, L1 size) cell the full run is the ground truth; the
-    sampled estimator is then timed twice against a *fresh* profile store
-    — cold (profiling pass included, the price of the first sampled run
-    of a spec) and warm (profile reused, the price of every run after it).
-    The accuracy columns are measured, not assumed: per-cell signed IPC
-    error against the full run, the estimator's own error bar, and
-    whether the bar covered the actual error. The headline gates — worst
-    IPC error and minimum detailed-cycle reduction — are what CI enforces.
-    """
-    import tempfile
-
-    from repro.experiments.configs import experiment_gpu_config
-    from repro.registry.provenance import collect_provenance
-    from repro.sampling import ProfileStore, SamplingPlan, sampled_run
-    from repro.sampling.executor import verify_estimate
-
-    plan = plan or SamplingPlan()
-    small_cfg = experiment_gpu_config()
-    cells = [(label, small_cfg if l1 is None else small_cfg.with_l1_size(l1))
-             for label, l1 in SAMPLED_BENCH_L1_CELLS]
-
-    workloads: dict[str, Any] = {}
-    full_wall = cold_wall = warm_wall = 0.0
-    full_cycles = detailed_cycles = 0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with tempfile.TemporaryDirectory() as store_root:
-            store = ProfileStore(store_root)
-            for app in apps:
-                for label, cfg in cells:
-                    key = f"{app}/{label}"
-                    clear_cache()
-                    started = time.perf_counter()
-                    full = run(app, config, scale=scale, gpu_config=cfg)
-                    t_full = time.perf_counter() - started
-
-                    started = time.perf_counter()
-                    sim, info = sampled_run(app, config, scale, cfg, plan,
-                                            store=store)
-                    t_cold = time.perf_counter() - started
-                    started = time.perf_counter()
-                    sim, info = sampled_run(app, config, scale, cfg, plan,
-                                            store=store)
-                    t_warm = time.perf_counter() - started
-
-                    problems = verify_estimate(info)
-                    if problems:
-                        raise RuntimeError(
-                            f"sampled estimate failed self-check for {key}: "
-                            + "; ".join(problems))
-
-                    full_ipc = full.sim.stats.ipc
-                    est_ipc = info["estimates"]["ipc"]
-                    err = est_ipc - full_ipc
-                    err_pct = 100.0 * err / full_ipc if full_ipc else 0.0
-                    bar_pct = 100.0 * info["error_bars_rel"]["ipc"]
-                    workloads[key] = {
-                        "workload": app,
-                        "l1": label,
-                        "full": {
-                            "cycles": full.sim.stats.cycles,
-                            "ipc": full_ipc,
-                            "wall_s": t_full,
-                        },
-                        "sampled": {
-                            "ipc": est_ipc,
-                            "detailed_cycles": info["detailed_cycles"],
-                            "total_cycles": info["total_cycles"],
-                            "clusters": info["clusters"],
-                            "intervals": info["profile"]["intervals"],
-                            "wall_s_cold": t_cold,
-                            "wall_s_warm": t_warm,
-                            "error_bars": dict(info["error_bars"]),
-                        },
-                        "ipc_err_pct": err_pct,
-                        "ipc_bar_pct": bar_pct,
-                        "covered": abs(err_pct) <= bar_pct,
-                        "cycle_reduction": info["cycle_reduction"],
-                    }
-                    full_wall += t_full
-                    cold_wall += t_cold
-                    warm_wall += t_warm
-                    full_cycles += info["total_cycles"]
-                    detailed_cycles += info["detailed_cycles"]
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    errs = [abs(cell["ipc_err_pct"]) for cell in workloads.values()]
-    reductions = [cell["cycle_reduction"] for cell in workloads.values()]
-    return {
-        "schema": "bench.sampled_speed/1",
-        "scale": scale,
-        "config": config,
-        "plan": {"tag": plan.identity_tag, **plan.identity()},
-        "apps": list(apps),
-        "workloads": workloads,
-        "totals": {
-            "num_points": len(workloads),
-            "max_ipc_err_pct": max(errs) if errs else 0.0,
-            "min_cycle_reduction": min(reductions) if reductions else 0.0,
-            "overall_cycle_reduction": (
-                full_cycles / detailed_cycles if detailed_cycles else 0.0),
-            "full_wall_s": full_wall,
-            "sampled_wall_s_cold": cold_wall,
-            "sampled_wall_s_warm": warm_wall,
-            "sampled_speedup_warm": (
-                full_wall / warm_wall if warm_wall > 0 else 0.0),
-            "all_bars_cover_error": all(
-                cell["covered"] for cell in workloads.values()),
-        },
-        "provenance": collect_provenance(),
-    }

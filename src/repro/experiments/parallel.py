@@ -95,8 +95,8 @@ class QueueHeartbeatSink(TelemetrySink):
     manager queue, which the parent's :class:`HeartbeatRelay` renders
     through the shared :class:`ProgressWriter`. Subclassing
     :class:`~repro.telemetry.export.TelemetrySink` matters: the hub calls
-    ``finish``/``reset`` on every attached sink at run close and shard
-    retry, and a bare duck-typed sink would crash there.
+    ``finish`` on every attached sink at run close, and a bare duck-typed
+    sink would crash there.
     """
 
     def __init__(self, queue: Any, key: str):
@@ -176,12 +176,6 @@ class PointTask:
     telemetry: bool
     trace_dir: Optional[str]
     telemetry_window: int
-    #: Resolved shard plan for this point (pool workers don't inherit the
-    #: parent's process-wide default, so it rides along explicitly).
-    shard_plan: Any = None
-    #: Resolved sampling plan for this point, shipped explicitly for the
-    #: same reason as ``shard_plan``.
-    sampling_plan: Any = None
 
 
 def _run_point_task(task: PointTask) -> tuple[int, dict]:
@@ -206,8 +200,6 @@ def _run_point_task(task: PointTask) -> tuple[int, dict]:
         trace_dir=task.trace_dir,
         telemetry_window=task.telemetry_window,
         heartbeat_sink=sink,
-        shard_plan=task.shard_plan,
-        sampling_plan=task.sampling_plan,
     )
     return task.index, record
 
@@ -270,17 +262,13 @@ def run_point_tasks(
 # ----------------------------------------------------------------------
 
 
-def _prewarm_worker(item: tuple):
+def _prewarm_worker(point: RunPoint):
     from repro.experiments.runner import run
 
-    point, shard_plan, sampling_plan = item
-    workload, config_name, scale, gpu_config = point
-    return point, run(workload, config_name, scale, gpu_config,
-                      shard_plan=shard_plan, sampling_plan=sampling_plan)
+    return point, run(*point)
 
 
-def prewarm(points: Iterable[RunPoint], jobs: int, shard_plan=None,
-            sampling_plan=None) -> int:
+def prewarm(points: Iterable[RunPoint], jobs: int) -> int:
     """Simulate runner points in a pool and seed the in-process run cache.
 
     Returns how many points were actually simulated (already-cached and
@@ -290,49 +278,26 @@ def prewarm(points: Iterable[RunPoint], jobs: int, shard_plan=None,
     RunResults are plain picklable dataclasses, and simulation is
     deterministic, so a worker-produced result is indistinguishable from
     a local one.
-
-    ``shard_plan`` and ``sampling_plan`` default to the process-wide
-    plans installed by the CLI's ``--shards``/``--sampled``; pool workers
-    don't inherit that module state, so the resolved plans ship with each
-    work item. The ``--jobs`` budget rule is enforced again here (defence
-    in depth): pool workers may only shard in-process. Sampled prewarm
-    workers share profiles through the on-disk profile store, so a
-    profile built by one worker serves every later consumer.
     """
-    from repro.errors import ShardConfigError
     from repro.experiments import runner
 
-    plan = shard_plan if shard_plan is not None else runner.default_shard_plan()
-    splan = (sampling_plan if sampling_plan is not None
-             else runner.default_sampling_plan())
-    if plan is not None and jobs > 1 and plan.worker_processes():
-        raise ShardConfigError(
-            f"--jobs {jobs} already owns the process budget; prewarm "
-            "workers cannot nest process-backend shards",
-            details={"jobs": jobs, "backend": plan.backend},
-        )
     todo: list[RunPoint] = []
     seen: set[tuple] = set()
     for point in points:
-        key = runner.cache_key(point[0], point[1], point[2], point[3], plan,
-                               splan)
-        if key in seen or runner.is_cached(
-                point[0], point[1], point[2], point[3], plan, splan):
+        key = runner.cache_key(*point)
+        if key in seen or runner.is_cached(*point):
             continue
         seen.add(key)
         todo.append(point)
     if not todo:
         return 0
     if jobs <= 1 or len(todo) == 1:
-        for workload, config_name, scale, gpu_config in todo:
-            runner.run(workload, config_name, scale, gpu_config,
-                       shard_plan=plan, sampling_plan=splan)
+        for point in todo:
+            runner.run(*point)
         return len(todo)
     with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-        for point, result in pool.map(
-                _prewarm_worker, [(p, plan, splan) for p in todo]):
-            runner.seed_cache(point[0], point[1], point[2], point[3],
-                              result, plan, splan)
+        for point, result in pool.map(_prewarm_worker, todo):
+            runner.seed_cache(*point, result)
     return len(todo)
 
 

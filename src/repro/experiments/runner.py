@@ -17,8 +17,6 @@ from typing import Optional
 
 from repro.config import GPUConfig
 from repro.experiments.configs import CONFIGS, experiment_gpu_config
-from repro.sampling import SamplingPlan, reject_unsupported, sampled_run
-from repro.shard import ShardPlan, shard_execute
 from repro.sm.simulator import SimulationResult, simulate
 from repro.stats.energy import EnergyModel, EnergyReport
 from repro.telemetry.metrics import get_registry
@@ -42,14 +40,6 @@ class RunResult:
     config_name: str
     sim: SimulationResult
     energy: EnergyReport
-    #: Shard drift/attempt report when the point ran under ``--shards``
-    #: (see :func:`repro.shard.shard_execute`); ``None`` for serial runs.
-    shard_info: Optional[dict] = None
-    #: Selection/weights/error-bar report when the point ran under
-    #: ``--sampled`` (see :func:`repro.sampling.sampled_run`); ``None``
-    #: for full detailed runs. Its presence marks ``sim`` as a weighted
-    #: estimate rather than an exact simulation.
-    sampling_info: Optional[dict] = None
 
     @property
     def ipc(self) -> float:
@@ -58,53 +48,6 @@ class RunResult:
     @property
     def cycles(self) -> int:
         return self.sim.cycles
-
-
-#: Process-wide default shard plan, set once by the CLI (``--shards``) so
-#: figure/scorecard producers — which only ever call :func:`run` — inherit
-#: intra-run sharding without threading a plan through every call site.
-_DEFAULT_SHARD_PLAN: Optional[ShardPlan] = None
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` (serial).
-_PLAN_UNSET = object()
-
-
-def set_default_shard_plan(plan: Optional[ShardPlan]) -> None:
-    """Install (or clear, with ``None``) the process-wide shard plan."""
-    global _DEFAULT_SHARD_PLAN
-    _DEFAULT_SHARD_PLAN = plan
-
-
-def default_shard_plan() -> Optional[ShardPlan]:
-    """The process-wide shard plan, or ``None`` (serial execution)."""
-    return _DEFAULT_SHARD_PLAN
-
-
-def _effective_plan(shard_plan) -> Optional[ShardPlan]:
-    return _DEFAULT_SHARD_PLAN if shard_plan is _PLAN_UNSET else shard_plan
-
-
-#: Process-wide default sampling plan, set once by the CLI (``--sampled``)
-#: so figure/scorecard producers inherit sampled execution the same way
-#: they inherit intra-run sharding.
-_DEFAULT_SAMPLING_PLAN: Optional[SamplingPlan] = None
-
-
-def set_default_sampling_plan(plan: Optional[SamplingPlan]) -> None:
-    """Install (or clear, with ``None``) the process-wide sampling plan."""
-    global _DEFAULT_SAMPLING_PLAN
-    _DEFAULT_SAMPLING_PLAN = plan
-
-
-def default_sampling_plan() -> Optional[SamplingPlan]:
-    """The process-wide sampling plan, or ``None`` (full detailed runs)."""
-    return _DEFAULT_SAMPLING_PLAN
-
-
-def _effective_sampling_plan(sampling_plan) -> Optional[SamplingPlan]:
-    if sampling_plan is _PLAN_UNSET:
-        return _DEFAULT_SAMPLING_PLAN
-    return sampling_plan
 
 
 #: Default LRU capacity; override via $REPRO_RUN_CACHE_SIZE or set_cache_limit.
@@ -139,28 +82,10 @@ def cache_key(
     config_name: str,
     scale: float,
     gpu_config: Optional[GPUConfig] = None,
-    shard_plan=_PLAN_UNSET,
-    sampling_plan=_PLAN_UNSET,
 ) -> tuple:
-    """The memoisation key :func:`run` would use for these arguments.
-
-    Bit-exact shard plans (lock-step ``E=1``) and serial execution share
-    one key — their results are identical by construction — while
-    relaxed plans append their identity tag so drifted statistics never
-    masquerade as serial ones. A sampling plan always appends its tag:
-    a sampled estimate must never replay as a full-run cache hit, nor a
-    full run as a sampled one, and plans with different parameters are
-    different estimators.
-    """
-    key = (workload_abbr, config_name, scale,
-           gpu_config or experiment_gpu_config())
-    plan = _effective_plan(shard_plan)
-    if plan is not None and not plan.bit_exact:
-        key += (plan.identity_tag,)
-    splan = _effective_sampling_plan(sampling_plan)
-    if splan is not None:
-        key += (splan.identity_tag,)
-    return key
+    """The memoisation key :func:`run` would use for these arguments."""
+    return (workload_abbr, config_name, scale,
+            gpu_config or experiment_gpu_config())
 
 
 def is_cached(
@@ -168,14 +93,9 @@ def is_cached(
     config_name: str,
     scale: float,
     gpu_config: Optional[GPUConfig] = None,
-    shard_plan=_PLAN_UNSET,
-    sampling_plan=_PLAN_UNSET,
 ) -> bool:
     """True when :func:`run` with these arguments would be a cache hit."""
-    return cache_key(
-        workload_abbr, config_name, scale, gpu_config, shard_plan,
-        sampling_plan,
-    ) in _CACHE
+    return cache_key(workload_abbr, config_name, scale, gpu_config) in _CACHE
 
 
 def seed_cache(
@@ -184,8 +104,6 @@ def seed_cache(
     scale: float,
     gpu_config: Optional[GPUConfig],
     result: RunResult,
-    shard_plan=_PLAN_UNSET,
-    sampling_plan=_PLAN_UNSET,
 ) -> None:
     """Install a result computed elsewhere (e.g. a pool worker) into the cache.
 
@@ -195,8 +113,7 @@ def seed_cache(
     knowing parallelism exists. Simulation is deterministic, so a seeded
     result is indistinguishable from one computed in-process.
     """
-    key = cache_key(workload_abbr, config_name, scale, gpu_config, shard_plan,
-                    sampling_plan)
+    key = cache_key(workload_abbr, config_name, scale, gpu_config)
     _CACHE[key] = result
     while len(_CACHE) > _cache_max:
         _CACHE.popitem(last=False)
@@ -208,9 +125,6 @@ def run(
     scale: float = 1.0,
     gpu_config: Optional[GPUConfig] = None,
     telemetry=None,
-    shard_plan=_PLAN_UNSET,
-    shard_supervisor=None,
-    sampling_plan=_PLAN_UNSET,
 ) -> RunResult:
     """Simulate one workload under one named configuration (memoised).
 
@@ -218,30 +132,12 @@ def run(
     bypasses the cache entirely — both lookup and store — because the
     hub is bound to the specific simulator instance and a memoised
     result would silently carry no telemetry.
-
-    ``shard_plan`` switches the point to the epoch-barrier sharded
-    engine (default: the process-wide plan installed by the CLI's
-    ``--shards``; pass ``None`` explicitly to force serial). Telemetry
-    hubs combine with shard plans since the distributed-telemetry merge:
-    lanes record into per-lane buffers and the parent merges them into
-    the hub at every epoch barrier (see :mod:`repro.shard.telemetry`).
-
-    ``sampling_plan`` switches the point to the sampled executor
-    (default: the process-wide plan installed by the CLI's ``--sampled``;
-    pass ``None`` explicitly to force a full detailed run). Sampled runs
-    reject telemetry hubs and shard plans — see
-    :func:`repro.sampling.reject_unsupported`.
     """
     if config_name not in CONFIGS:
         known = ", ".join(sorted(CONFIGS))
         raise ValueError(f"unknown config {config_name!r}; known: {known}")
-    plan = _effective_plan(shard_plan)
-    splan = _effective_sampling_plan(sampling_plan)
-    if splan is not None:
-        reject_unsupported(splan, telemetry=telemetry is not None,
-                           sharded=plan is not None)
     cfg = gpu_config or experiment_gpu_config()
-    key = cache_key(workload_abbr, config_name, scale, cfg, plan, splan)
+    key = cache_key(workload_abbr, config_name, scale, cfg)
     if telemetry is None:
         cached = _CACHE.get(key)
         if cached is not None:
@@ -250,27 +146,12 @@ def run(
             return cached
         get_registry().counter("registry.cache.misses").inc()
 
-    shard_info = None
-    sampling_info = None
-    if splan is not None:
-        sim, sampling_info = sampled_run(
-            workload_abbr, config_name, scale, cfg, splan)
-    else:
-        spec = workload(workload_abbr)
-        kernel = build_kernel(spec, scale)
-        engine = CONFIGS[config_name]
-        if plan is None:
-            sim = simulate(kernel, cfg, engine.build, telemetry=telemetry)
-        else:
-            sim, shard_info = shard_execute(
-                kernel, cfg, engine.build, plan, supervisor=shard_supervisor,
-                telemetry=telemetry,
-            )
+    kernel = build_kernel(workload(workload_abbr), scale)
+    sim = simulate(kernel, cfg, CONFIGS[config_name].build, telemetry=telemetry)
     energy = EnergyModel().report(
         sim.stats, apres_events=sim.engine_events, num_sms=cfg.num_sms
     )
-    result = RunResult(workload_abbr, config_name, sim, energy,
-                       shard_info=shard_info, sampling_info=sampling_info)
+    result = RunResult(workload_abbr, config_name, sim, energy)
     if telemetry is None:
         _CACHE[key] = result
         while len(_CACHE) > _cache_max:

@@ -199,16 +199,6 @@ def _ok_record(point: SweepPoint, result: RunResult, attempts: int) -> dict:
         "engine_events": result.sim.engine_events,
         "stats": s.as_dict(),
     }
-    shard_info = getattr(result, "shard_info", None)
-    if shard_info is not None and not shard_info.get("bit_exact"):
-        # Relaxed plans report their measured drift; lock-step records
-        # must stay byte-identical to serial ones, so they add nothing.
-        record["shard"] = dict(shard_info)
-    sampling_info = getattr(result, "sampling_info", None)
-    if sampling_info is not None:
-        # Sampled records carry their full selection/weights/error-bar
-        # block: consumers (diff, scorecards) must see the uncertainty.
-        record["sampling"] = dict(sampling_info)
     return record
 
 
@@ -334,8 +324,6 @@ def run_sweep(
     heartbeat_writer: Optional[Any] = None,
     retry_failed: bool = False,
     supervisor: Optional[Any] = None,
-    shard_plan: Optional[Any] = None,
-    sampling_plan: Optional[Any] = None,
 ) -> SweepSummary:
     """Run every point, persisting each result to ``out_path`` as it lands.
 
@@ -366,7 +354,7 @@ def run_sweep(
     already archived are replayed verbatim instead of re-simulated —
     ``--no-cache`` at the CLI forces recomputation.
 
-    ``jobs > 1`` shards the points across a process pool
+    ``jobs > 1`` spreads the points across a process pool
     (:mod:`repro.experiments.parallel`); completed records stream back and
     are appended strictly in point order, so the JSONL output is
     byte-identical to a serial sweep. All persistence (store, registry)
@@ -376,44 +364,9 @@ def run_sweep(
     ``supervisor`` (a :class:`~repro.resilience.SupervisorConfig`) swaps
     the plain pool for the hardened supervised engine — heartbeat
     deadlines, kill-and-requeue, quarantine, serial degradation.
-
-    ``shard_plan`` (a :class:`~repro.shard.ShardPlan`) runs every point
-    on the epoch-barrier sharded engine. Lock-step plans (``E=1``)
-    produce records indistinguishable from serial ones; relaxed plans
-    stamp ``provenance["engine"]`` so their registry memo lineage stays
-    separate from serial results. Pool workers receive the plan with
-    each task (the process-wide runner default does not cross the pool
-    boundary).
-
-    ``sampling_plan`` (a :class:`~repro.sampling.SamplingPlan`) runs
-    every point on the sampled executor instead. Sampled records stamp
-    ``provenance["sampling"]`` with the plan tag, so their registry memo
-    lineage never collides with full-run results, and carry their
-    selection/weights/error-bar block under ``record["sampling"]``.
-    Sampling rejects telemetry and shard plans up front.
     """
     points = list(points)
-    if shard_plan is None:
-        from repro.experiments.runner import default_shard_plan
-
-        shard_plan = default_shard_plan()
-    if sampling_plan is None:
-        from repro.experiments.runner import default_sampling_plan
-
-        sampling_plan = default_sampling_plan()
-    if sampling_plan is not None:
-        from repro.sampling import reject_unsupported
-
-        reject_unsupported(
-            sampling_plan,
-            telemetry=telemetry or trace_dir is not None,
-            sharded=shard_plan is not None,
-        )
     base_prov = _base_provenance(gpu_config)
-    if shard_plan is not None and shard_plan.identity_tag:
-        base_prov["engine"] = shard_plan.identity_tag
-    if sampling_plan is not None:
-        base_prov["sampling"] = sampling_plan.identity_tag
     store = ResultsStore(out_path)
     done: dict[str, dict] = {}
     quarantined_resume: dict[str, dict] = {}
@@ -492,7 +445,6 @@ def run_sweep(
             trace_dir=trace_dir, telemetry_window=telemetry_window,
             cache_lookup=cache_lookup if caching else None, jobs=jobs,
             heartbeat_writer=heartbeat_writer, supervisor=supervisor,
-            shard_plan=shard_plan, sampling_plan=sampling_plan,
         )
         return summary
 
@@ -512,8 +464,6 @@ def run_sweep(
             telemetry=telemetry or trace_dir is not None,
             trace_dir=trace_dir,
             telemetry_window=telemetry_window,
-            shard_plan=shard_plan,
-            sampling_plan=sampling_plan,
         )
         record["provenance"] = provenance
         flush(point, record, cached=False)
@@ -536,8 +486,6 @@ def _run_pending_parallel(
     jobs: int,
     heartbeat_writer: Optional[Any],
     supervisor: Optional[Any] = None,
-    shard_plan: Optional[Any] = None,
-    sampling_plan: Optional[Any] = None,
 ) -> None:
     """Fan pending points across a pool, flushing strictly in point order.
 
@@ -570,7 +518,6 @@ def _run_pending_parallel(
             retries=retries, backoff_s=backoff_s,
             point_timeout_s=point_timeout_s, telemetry=telemetry,
             trace_dir=trace_dir, telemetry_window=telemetry_window,
-            shard_plan=shard_plan, sampling_plan=sampling_plan,
         ))
 
     relay = None
@@ -632,8 +579,6 @@ def _run_point(
     trace_dir: Optional[str] = None,
     telemetry_window: int = 5_000,
     heartbeat_sink: Optional[Any] = None,
-    shard_plan: Optional[Any] = None,
-    sampling_plan: Optional[Any] = None,
 ) -> dict:
     """Simulate one point with timeout + bounded retry; never raises
     :class:`ReproError` — failures become records.
@@ -663,8 +608,6 @@ def _run_point(
                     scale=point.scale,
                     gpu_config=gpu_config,
                     telemetry=hub,
-                    shard_plan=shard_plan,
-                    sampling_plan=sampling_plan,
                 )
             record = _ok_record(point, result, attempts)
             if hub is not None:

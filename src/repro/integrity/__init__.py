@@ -11,25 +11,19 @@ three.
 """
 
 from repro.integrity.checkpoint import (
-    CheckpointSeries,
     dump_simulator,
-    dump_simulator_compressed,
     load_checkpoint,
     load_simulator,
-    load_simulator_compressed,
     save_checkpoint,
 )
 from repro.integrity.invariants import InvariantChecker
 from repro.integrity.watchdog import Watchdog
 
 __all__ = [
-    "CheckpointSeries",
     "InvariantChecker",
     "Watchdog",
     "dump_simulator",
-    "dump_simulator_compressed",
     "load_simulator",
-    "load_simulator_compressed",
     "save_checkpoint",
     "load_checkpoint",
 ]

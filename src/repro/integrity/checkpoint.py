@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import zlib
 
 from repro.errors import CheckpointError
 
@@ -26,11 +25,6 @@ from repro.errors import CheckpointError
 CHECKPOINT_FORMAT = 3
 
 _MAGIC = "repro-checkpoint"
-
-#: zlib level for lightweight periodic checkpoints: the simulator object
-#: graph is mostly small-integer lists, which deflate well, and level 6
-#: keeps the profiling pass's per-boundary cost low.
-_COMPRESS_LEVEL = 6
 
 
 def dump_simulator(simulator) -> bytes:
@@ -72,80 +66,6 @@ def load_simulator(blob: bytes):
     if not isinstance(simulator, GPUSimulator):
         raise CheckpointError("checkpoint payload is not a GPUSimulator")
     return simulator
-
-
-def dump_simulator_compressed(simulator) -> bytes:
-    """:func:`dump_simulator`, zlib-compressed (periodic profile checkpoints)."""
-    return zlib.compress(dump_simulator(simulator), _COMPRESS_LEVEL)
-
-
-def load_simulator_compressed(blob: bytes):
-    """Reconstruct a simulator from :func:`dump_simulator_compressed` bytes."""
-    try:
-        raw = zlib.decompress(blob)
-    except zlib.error as exc:
-        raise CheckpointError(f"corrupt compressed checkpoint: {exc}") from exc
-    return load_simulator(raw)
-
-
-class CheckpointSeries:
-    """Bounded series of periodic lightweight checkpoints (profiling pass).
-
-    The sampled-simulation profiler offers a compressed snapshot at every
-    interval boundary; once the series would exceed ``max_entries`` it
-    doubles its stride and prunes retained entries to the new stride, so
-    arbitrarily long runs keep a bounded, evenly spaced checkpoint set.
-    Thinning is a pure function of the boundary indices offered, which
-    keeps the retained set deterministic for identical runs.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        if max_entries < 1:
-            raise ValueError("checkpoint series needs max_entries >= 1")
-        self.max_entries = max_entries
-        self.stride = 1
-        #: boundary index -> (cycle, compressed blob), ascending insertion.
-        self._entries: dict[int, tuple[int, bytes]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def offer(self, index: int, simulator) -> bool:
-        """Snapshot ``simulator`` for boundary ``index`` if the stride keeps it."""
-        if index % self.stride:
-            return False
-        self._entries[index] = (
-            simulator.current_cycle,
-            dump_simulator_compressed(simulator),
-        )
-        while len(self._entries) > self.max_entries:
-            self.stride *= 2
-            # Deterministic: offer() inserts ascending boundary indices, and
-            # this key-filtered rebuild preserves that insertion order.
-            self._entries = {
-                i: entry
-                for i, entry in self._entries.items()  # simlint: ignore[SL001]
-                if i % self.stride == 0
-            }
-        return True
-
-    def cycles(self) -> list[int]:
-        """Retained checkpoint cycles, ascending."""
-        return sorted(cycle for cycle, _ in self._entries.values())
-
-    def entries(self) -> list[tuple[int, bytes]]:
-        """Retained ``(cycle, compressed blob)`` pairs, ascending by cycle."""
-        return sorted(self._entries.values(), key=lambda entry: entry[0])
-
-    def best_for(self, target_cycle: int):
-        """Newest retained checkpoint at or before ``target_cycle``, or None."""
-        best = None
-        # Max-scan over retained checkpoints is order-insensitive: the result
-        # depends only on the (cycle, blob) set, not on iteration order.
-        for cycle, blob in self._entries.values():  # simlint: ignore[SL001]
-            if cycle <= target_cycle and (best is None or cycle > best[0]):
-                best = (cycle, blob)
-        return best
 
 
 def save_checkpoint(simulator, path: str) -> None:

@@ -169,7 +169,7 @@ class WriteRecorder:
 
 
 def hot_simulator_classes() -> list[type]:
-    """Classes whose writes the sanitizer observes: sm/, mem/, shard/, stats."""
+    """Classes whose writes the sanitizer observes: sm/, mem/, stats."""
     import inspect
 
     import repro.mem.cache
@@ -181,8 +181,6 @@ def hot_simulator_classes() -> list[type]:
     import repro.mem.subsystem
     import repro.mem.tags
     import repro.mem.victim
-    import repro.shard.lane
-    import repro.shard.proxy
     import repro.sm.pipeline
     import repro.sm.warp
     import repro.stats.counters
@@ -199,8 +197,6 @@ def hot_simulator_classes() -> list[type]:
         repro.mem.subsystem,
         repro.mem.tags,
         repro.mem.victim,
-        repro.shard.lane,
-        repro.shard.proxy,
         repro.stats.counters,
     ]
     classes: list[type] = []

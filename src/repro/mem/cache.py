@@ -27,9 +27,8 @@ class MissForwarder:
 
     A real base class rather than a ``Callable`` alias so the effect
     analysis (:mod:`repro.analysis.effects`) can resolve the forwarder
-    field to one named type and fan virtual dispatch over every engine's
-    implementation — the serial subsystem's forwarder and the shard
-    proxy's both subclass this.
+    field to one named type and fan virtual dispatch over its
+    implementations.
     """
 
     __slots__ = ()

@@ -23,7 +23,7 @@ from repro.mem.l2 import L2Cache
 from repro.stats.counters import SimStats
 
 
-class EventQueue:  # simlint: boundary[global event queue; drained serially each epoch]
+class EventQueue:  # simlint: boundary[global event queue; drained serially each cycle]
     """Min-heap of ``(cycle, seq, callback)`` with FIFO tie-breaking."""
 
     __slots__ = ("_heap", "_seq", "processed")
@@ -85,51 +85,6 @@ class _L1MissForwarder(MissForwarder):
 
     def __call__(self, line_addr: int, now: int, is_prefetch: bool) -> int:
         return self.subsystem.forward_miss(self.sm_id, line_addr, now)
-
-
-class SharedL2Core:  # simlint: boundary[authoritative L2/DRAM pair replayed serially at shard barriers]
-    """The shared L2 + DRAM pair without per-SM L1s.
-
-    The sharded engine (:mod:`repro.shard`) keeps exactly one of these in
-    the parent: shard workers defer their L1 miss/store traffic into logs,
-    and the parent replays the merged log through this core in the serial
-    engine's access order. The methods mirror the slice of
-    :meth:`MemorySubsystem.forward_miss` / :meth:`MemorySubsystem.store`
-    that touches shared state, so both engines charge the same counters.
-    """
-
-    __slots__ = ("_line_size", "_stats", "dram", "l2")
-
-    def __init__(self, config: GPUConfig, stats: SimStats):
-        self._line_size = config.l1.line_size
-        self._stats = stats
-        self.dram = DRAMModel(config.dram, config.l1.line_size, stats.memory)
-        self.l2 = L2Cache(config.l2, self.dram, stats.memory)
-
-    @property
-    def memory_stats(self):
-        """The authoritative L2/DRAM counter bundle this core charges.
-
-        The shard telemetry coordinator exposes it on its stats view so
-        interval metrics (``l2_miss_rate``) read the same counters in the
-        serial and sharded engines.
-        """
-        return self._stats.memory
-
-    def replay_miss(self, line_addr: int, now: int) -> int:
-        """Charge one L1 miss (demand or prefetch); returns the fill cycle."""
-        fill_cycle = self.l2.access(line_addr, now)
-        self._stats.memory.bytes_l2_to_l1 += self._line_size
-        return fill_cycle
-
-    def replay_store(self, line_addr: int, now: int) -> None:
-        """Charge one write-through store line."""
-        self.l2.write(line_addr, now)
-        self._stats.memory.bytes_stored += self._line_size
-
-    def describe(self, now: int) -> dict:
-        """JSON-ready snapshot of the shared side (diagnostics)."""
-        return {"dram_queue_depths": self.dram.queue_depths(now)}
 
 
 class MemorySubsystem:  # simlint: boundary[shared L2/DRAM front-end: the legal cross-SM channel]

@@ -29,10 +29,6 @@ class DiffRow:
     b: float
     rtol: float
     atol: float
-    #: Absolute error-bar allowance. Non-zero when at least one side is a
-    #: sampled estimate: a point estimate within its reported bar is not
-    #: a regression, it is the estimator's stated uncertainty.
-    bar: float = 0.0
 
     @property
     def abs_delta(self) -> float:
@@ -46,8 +42,7 @@ class DiffRow:
 
     @property
     def ok(self) -> bool:
-        return abs(self.b - self.a) <= (
-            self.atol + self.bar + self.rtol * abs(self.a))
+        return abs(self.b - self.a) <= self.atol + self.rtol * abs(self.a)
 
     def as_dict(self) -> dict:
         return {
@@ -58,7 +53,6 @@ class DiffRow:
             "rel_delta": self.rel_delta,
             "rtol": self.rtol,
             "atol": self.atol,
-            "bar": self.bar,
             "ok": self.ok,
         }
 
@@ -112,7 +106,6 @@ def diff_metrics(
     ignore: Sequence[str] = (),
     label_a: str = "a",
     label_b: str = "b",
-    bars: Optional[Mapping[str, float]] = None,
 ) -> DiffReport:
     """Compare two flat metric dicts under tolerances.
 
@@ -121,11 +114,6 @@ def diff_metrics(
     skip entirely. Keys present on only one side are reported but do not
     fail the diff — a removed counter is visible in the report, while the
     gate stays focused on value drift.
-
-    ``bars`` maps metric keys to absolute error-bar allowances (sampled
-    records report these — see :mod:`repro.sampling`); a key's band
-    widens to ``atol + bar + rtol * |a|``, so a sampled point estimate
-    only fails when it disagrees *beyond its own stated uncertainty*.
     """
     report = DiffReport(label_a=label_a, label_b=label_b)
     keys_a = set(a)
@@ -143,7 +131,6 @@ def diff_metrics(
             b=float(b[key]),
             rtol=_tolerance_for(key, rtol, overrides or {}),
             atol=atol,
-            bar=float((bars or {}).get(key, 0.0)),
         ))
     report.only_in_a = sorted(k for k in keys_a - keys_b if not ignored(k))
     report.only_in_b = sorted(k for k in keys_b - keys_a if not ignored(k))
@@ -168,7 +155,7 @@ def format_diff(report: DiffReport, max_rows: int = 40) -> str:
                 f"{row.b:.6g}",
                 f"{row.abs_delta:+.6g}",
                 "-" if row.rel_delta is None else f"{100 * row.rel_delta:+.2f}%",
-                f"{row.rtol:g}" + (f" (+bar {row.bar:g})" if row.bar else ""),
+                f"{row.rtol:g}",
             ]
             for row in failed[:max_rows]
         ]

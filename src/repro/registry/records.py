@@ -191,18 +191,8 @@ def _record(kind: str, name: str, identity: dict, metrics: dict, *,
 
 def run_record(result: Any, scale: float, gpu_config: Any, *,
                seed: Optional[int] = None, stalls: Optional[dict] = None,
-               wall_time_s: Optional[float] = None,
-               engine_tag: Optional[str] = None) -> RunRecord:
-    """Registry record for one :class:`~repro.experiments.runner.RunResult`.
-
-    ``engine_tag`` names a non-serial execution engine whose statistics
-    are *not* bit-identical to the serial one (a relaxed shard plan's
-    :attr:`~repro.shard.ShardPlan.identity_tag`). It becomes part of the
-    record identity, so drifted metrics get their own ``run_id`` lineage
-    instead of polluting the serial history. Bit-exact engines (lock-step
-    shards) pass ``None`` and share the serial run ids — their payloads
-    hash identically by construction.
-    """
+               wall_time_s: Optional[float] = None) -> RunRecord:
+    """Registry record for one :class:`~repro.experiments.runner.RunResult`."""
     from repro.experiments.configs import CONFIGS
     from repro.workloads.suite import workload
 
@@ -218,35 +208,16 @@ def run_record(result: Any, scale: float, gpu_config: Any, *,
         "scale": scale,
         "gpu_config": config_hash(gpu_config),
     }
-    if engine_tag is not None:
-        identity["engine"] = engine_tag
-    sampling_info = getattr(result, "sampling_info", None)
-    if sampling_info is not None:
-        # A sampled run is an *estimator*, not a simulation: its plan
-        # joins the identity so sampled estimates get their own run_id
-        # lineage and can never replay as full-run results (or vice
-        # versa — full runs lack the block entirely).
-        identity["sampling"] = dict(sampling_info.get("plan") or {})
     stats = result.sim.stats
     metrics = flatten_metrics(stats.as_dict())
     metrics["ipc"] = stats.ipc
     metrics["energy_pj"] = result.energy.total
-    data: dict = {"engine_events": result.sim.engine_events}
-    shard_info = getattr(result, "shard_info", None)
-    if shard_info is not None and not shard_info.get("bit_exact"):
-        # Only relaxed plans annotate: a lock-step run's record must stay
-        # byte-comparable to (and filed under the same run_id as) serial.
-        data["shard"] = dict(shard_info)
-    if sampling_info is not None:
-        # Full block (weights, representatives, error bars) rides in the
-        # payload so diff can honour the estimate's uncertainty.
-        data["sampling"] = dict(sampling_info)
     return _record(
         "run",
         f"{result.workload}|{result.config_name}",
         identity,
         metrics,
-        data=data,
+        data={"engine_events": result.sim.engine_events},
         stalls=stalls,
         wall_time_s=wall_time_s,
     )
@@ -265,14 +236,8 @@ def sweep_point_identity(
     identity from it on both the write side (:func:`sweep_point_record`)
     and the read side (:func:`sweep_point_run_id`) guarantees a cache
     lookup hashes to exactly the id an earlier ingest stored under.
-
-    A relaxed shard plan stamps ``provenance["engine"]`` (see
-    :func:`run_record`); carrying it into the identity keeps drifted
-    sweep results out of the serial memo lineage. A sampling plan stamps
-    ``provenance["sampling"]`` the same way, so sampled sweep estimates
-    never replay as full-run memo hits and vice versa.
     """
-    identity = {
+    return {
         "workload": workload,
         "config": config,
         "scheduler": provenance.get("scheduler", config),
@@ -281,13 +246,6 @@ def sweep_point_identity(
         "scale": scale,
         "gpu_config": provenance.get("config_hash", ""),
     }
-    engine = provenance.get("engine")
-    if engine:
-        identity["engine"] = engine
-    sampling = provenance.get("sampling")
-    if sampling:
-        identity["sampling"] = sampling
-    return identity
 
 
 def sweep_point_run_id(
@@ -356,64 +314,8 @@ def bench_record(payload: Mapping[str, Any]) -> RunRecord:
     Speed is a property of the host as much as of the code, so the
     identity includes nothing host-specific — every bench run of the same
     point set at the same scale lands under one ``run_id`` and the history
-    under that id is the perf trajectory. The serial-vs-sharded bench
-    (``bench.shard_speed`` schema) gets its own lineage keyed on the
-    engine matrix rather than the point set.
+    under that id is the perf trajectory.
     """
-    if str(payload.get("schema", "")).startswith("bench.shard_speed"):
-        identity = {
-            "bench": "shard_speed",
-            "scale": payload.get("scale"),
-            "config": payload.get("config"),
-            "num_sms": payload.get("num_sms"),
-            "epoch_cycles": payload.get("epoch_cycles"),
-            "apps": list(payload.get("apps") or []),
-        }
-        metrics: dict = {}
-        for label, eng in (payload.get("engines") or {}).items():
-            totals = eng.get("totals") or {}
-            metrics[f"{label}_cycles_per_s"] = totals.get("cycles_per_s", 0.0)
-            if "speedup_vs_serial" in totals:
-                metrics[f"{label}_speedup"] = totals["speedup_vs_serial"]
-        return _record("bench", "shard_speed", identity, metrics,
-                       data=dict(payload))
-    if str(payload.get("schema", "")).startswith("bench.sampled_speed"):
-        identity = {
-            "bench": "sampled_speed",
-            "scale": payload.get("scale"),
-            "config": payload.get("config"),
-            "plan": payload.get("plan"),
-            "apps": list(payload.get("apps") or []),
-        }
-        metrics = {}
-        for key, cell in (payload.get("workloads") or {}).items():
-            metrics[f"{key}_ipc_err_pct"] = cell.get("ipc_err_pct", 0.0)
-            metrics[f"{key}_cycle_reduction"] = cell.get(
-                "cycle_reduction", 0.0)
-        totals = payload.get("totals") or {}
-        for name in ("max_ipc_err_pct", "min_cycle_reduction",
-                     "overall_cycle_reduction", "sampled_speedup_warm"):
-            if name in totals:
-                metrics[name] = totals[name]
-        return _record("bench", "sampled_speed", identity, metrics,
-                       data=dict(payload))
-    if str(payload.get("schema", "")).startswith("bench.telemetry_overhead"):
-        identity = {
-            "bench": "telemetry_overhead",
-            "scale": payload.get("scale"),
-            "workload": payload.get("workload"),
-            "config": payload.get("config"),
-            "num_sms": payload.get("num_sms"),
-            "window": payload.get("window"),
-        }
-        metrics = {}
-        for mode, cells in (payload.get("modes") or {}).items():
-            for label, cell in (cells or {}).items():
-                metrics[f"{mode}_{label}_wall_s"] = cell.get("wall_s", 0.0)
-                metrics[f"{mode}_{label}_overhead_pct"] = cell.get(
-                    "overhead_pct_vs_off", 0.0)
-        return _record("bench", "telemetry_overhead", identity, metrics,
-                       data=dict(payload))
     identity = {
         "bench": "sim_speed",
         "scale": payload.get("scale"),

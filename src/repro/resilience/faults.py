@@ -187,21 +187,6 @@ class FaultPlan:
             # thread — the supervisor sees heartbeats cease and escalates.
             os.kill(os.getpid(), signal.SIGSTOP)
 
-    def shard_window_fault(self, window_index: int, attempt: int) -> None:
-        """Shard-worker hook: crash or hang before executing one epoch window.
-
-        Fires inside a :mod:`repro.shard` worker process at the start of
-        epoch ``window_index``. Attempt-gated like ``worker.point``: the
-        sharded engine's retry re-forks fresh workers, so a default event
-        fires once and the retried attempt runs clean (kill-and-requeue
-        converges); ``every_attempt`` forces degradation to serial.
-        """
-        kind = self.trip("shard.window", window_index, attempt)
-        if kind == "crash":
-            os._exit(73)
-        elif kind == "hang":
-            os.kill(os.getpid(), signal.SIGSTOP)
-
     def append_write_fault(self, fd: int, payload: bytes) -> None:
         """Parent-side hook: fail (and possibly tear) one line append."""
         kind = self.trip("append.write", self.next_occurrence("append.write"))

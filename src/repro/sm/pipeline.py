@@ -212,38 +212,13 @@ class SMCore:
                 hint = w.ready_at
         return hint
 
-    def next_issuable_hint(self, now: int) -> Optional[int]:
-        """Earliest wake-up that could actually *issue*, LSU permitting.
-
-        Like :meth:`next_wake_hint`, but when the LSU replay queue is
-        full, warps whose next instruction is a load/store are skipped:
-        they cannot issue until a fill drains the queue, and fills arrive
-        as events (which are jump targets of their own). Used by the
-        sharded engine's relaxed mode to fast-forward past wake-ups that
-        would only charge structural stalls; the serial engine and the
-        lock-step mode keep using :meth:`next_wake_hint`, whose
-        tick-accurate stall accounting they preserve.
-        """
-        if len(self._replay) < self.LSU_QUEUE_DEPTH:
-            return self.next_wake_hint(now)
-        hint: Optional[int] = None
-        is_mem_at = self._is_mem_at
-        for w in self._issuable:
-            if is_mem_at[w.pc_index]:
-                continue
-            if w.ready_at > now and (hint is None or w.ready_at < hint):
-                hint = w.ready_at
-        return hint
-
     def has_pending_work(self, now: int) -> bool:
         """True when :meth:`cycle` at ``now`` could do more than count idle.
 
         Exactly the condition under which ``cycle(now)`` mutates anything
         besides ``idle_cycles``: a parked load to retry, or a warp that
         enters the candidate scan (even if it only charges an LSU
-        structural stall). The sharded engine's lock-step mode uses this
-        to skip inert SMs while reproducing the serial engine's counters
-        bit-for-bit.
+        structural stall).
         """
         if self._replay:
             return True
@@ -251,26 +226,6 @@ class SMCore:
             if w.ready_at <= now:
                 return True
         return False
-
-    def pending_work_or_hint(self, now: int) -> tuple[bool, Optional[int]]:
-        """``(has_pending_work(now), wake hint)`` in a single warp scan.
-
-        The hint is only produced on the ``False`` branch (it is exactly
-        :meth:`next_wake_hint`, and — the replay queue being empty —
-        also :meth:`next_issuable_hint`); when there *is* pending work
-        the scan stops early and the hint is ``None``. Saves the sharded
-        lane a second full scan on event-only ticks.
-        """
-        if self._replay:
-            return True, None
-        hint: Optional[int] = None
-        for w in self._issuable:
-            ready_at = w.ready_at
-            if ready_at <= now:
-                return True, None
-            if hint is None or ready_at < hint:
-                hint = ready_at
-        return False, hint
 
     # ------------------------------------------------------------------
     # Cycle loop

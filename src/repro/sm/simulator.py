@@ -151,8 +151,8 @@ class GPUSimulator:
     def engine_events(self) -> int:
         """Scheduler + prefetcher bookkeeping events so far (energy input).
 
-        Readable mid-run — the sampled executor measures per-interval
-        deltas of it — and equal to ``result().engine_events`` at finish.
+        Readable mid-run, and equal to ``result().engine_events`` at
+        finish.
         """
         return sum(s.events + p.events for s, p in self._engines)
 

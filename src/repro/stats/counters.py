@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class CacheStats:  # simlint: boundary[aggregated counters: merged per epoch, tolerant of ordering]
+class CacheStats:  # simlint: boundary[aggregated counters: additive, tolerant of ordering]
     """L1 data-cache counters (demand accesses unless noted)."""
 
     accesses: int = 0
@@ -76,14 +76,10 @@ class CacheStats:  # simlint: boundary[aggregated counters: merged per epoch, to
         correct = self.prefetch_useful + self.prefetch_demand_merged + self.prefetch_early_evicted
         return self.prefetch_early_evicted / correct if correct else 0.0
 
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate ``other`` into this bundle (aggregating SMs)."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 @dataclass
-class MemoryStats:  # simlint: boundary[aggregated counters: merged per epoch, tolerant of ordering]
+class MemoryStats:  # simlint: boundary[aggregated counters: additive, tolerant of ordering]
     """Interconnect / DRAM counters."""
 
     #: Sum and count of demand load latencies (issue to data ready), hits included.
@@ -108,14 +104,10 @@ class MemoryStats:  # simlint: boundary[aggregated counters: merged per epoch, t
         """Data moved toward the SMs plus store traffic (Figure 14)."""
         return self.bytes_l2_to_l1 + self.bytes_stored
 
-    def merge(self, other: "MemoryStats") -> None:
-        """Accumulate ``other`` into this bundle (aggregating shards)."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 @dataclass
-class SimStats:  # simlint: boundary[aggregated counters: merged per epoch, tolerant of ordering]
+class SimStats:  # simlint: boundary[aggregated counters: additive, tolerant of ordering]
     """Top-level statistics for one simulation run."""
 
     cycles: int = 0
@@ -143,19 +135,3 @@ class SimStats:  # simlint: boundary[aggregated counters: merged per epoch, tole
         this, so on-disk results stay diffable between runs.
         """
         return dataclasses.asdict(self)
-
-    def merge(self, other: "SimStats") -> None:
-        """Accumulate ``other``'s counters into this bundle.
-
-        Every field is an additive count, so merging per-shard bundles in
-        any order yields the same totals the serial engine accumulates
-        into its single shared instance. ``cycles`` is a timestamp rather
-        than a count and is intentionally *not* summed — the sharded
-        engine sets it from the global finish cycle.
-        """
-        for name in self.__dataclass_fields__:
-            if name in ("cycles", "l1", "memory"):
-                continue
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.l1.merge(other.l1)
-        self.memory.merge(other.memory)

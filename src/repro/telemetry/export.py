@@ -27,6 +27,7 @@ import sys
 import time
 from typing import Any, Optional, TextIO
 
+from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.intervals import INTERVAL_METRICS
 
 #: ``ph`` values the validator accepts (the subset this exporter emits).
@@ -45,9 +46,6 @@ class TelemetrySink:
     def finish(self, final_cycle: int) -> None:
         """The run completed at ``final_cycle``; flush and close."""
 
-    def reset(self) -> None:
-        """Drop partial output from a failed attempt (shard retry path)."""
-
 
 class InMemorySink(TelemetrySink):
     """Buffers everything; the test suite's window into a run."""
@@ -56,11 +54,6 @@ class InMemorySink(TelemetrySink):
         self.events: list[Any] = []
         self.intervals: list[dict[str, Any]] = []
         self.final_cycle: Optional[int] = None
-
-    def reset(self) -> None:
-        self.events.clear()
-        self.intervals.clear()
-        self.final_cycle = None
 
     def on_event(self, event: Any) -> None:
         self.events.append(event)
@@ -95,15 +88,6 @@ class IntervalJSONLWriter(TelemetrySink):
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def reset(self) -> None:
-        """Discard records from a failed sharded attempt (truncate)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        if self.records_written:
-            open(self.path, "w", encoding="utf-8").close()
-            self.records_written = 0
 
     def __getstate__(self) -> dict[str, Any]:
         state = dict(self.__dict__)
@@ -247,13 +231,6 @@ class ChromeTraceBuilder(TelemetrySink):
             )
         self._open_loads.clear()
 
-    def reset(self) -> None:
-        """Drop a failed sharded attempt's events; topology is re-added
-        when the hub rebinds."""
-        self._trace_events.clear()
-        self._open_loads.clear()
-        self._flow_started.clear()
-
     # ------------------------------------------------------------------
     # Event renderers (one per kind that gets special treatment)
     # ------------------------------------------------------------------
@@ -326,7 +303,7 @@ class ChromeTraceBuilder(TelemetrySink):
     # Generic fallback: everything else is an instant event
     # ------------------------------------------------------------------
 
-    def _instant(self, event: Any) -> None:
+    def _instant(self, event: TelemetryEvent) -> None:
         record = event.as_dict()
         kind = record.pop("kind")
         ts = record.pop("cycle")

@@ -1,12 +1,11 @@
 """Crash flight recorder: a bounded ring of recent engine events.
 
-Every process that runs simulation work — the parent, supervised pool
-workers, shard child processes — keeps a small in-memory ring buffer of
-recent noteworthy events (epoch barriers, deliveries, worker kills,
-retries). It costs a dict append per event and nothing on disk until
-something goes wrong: the watchdog, the pool's kill-and-requeue path,
-and the shard backend's lost-worker path call :func:`dump` to write the
-ring as structured JSON next to the existing quarantine artifacts,
+Every process that runs simulation work — the parent and supervised pool
+workers — keeps a small in-memory ring buffer of recent noteworthy
+events (worker spawns, deaths, requeues, quarantines). It costs a dict
+append per event and nothing on disk until something goes wrong: the
+watchdog and the pool's kill-and-requeue path call :func:`dump` to write
+the ring as structured JSON next to the existing quarantine artifacts,
 turning "worker died, requeued" into a replayable postmortem.
 
 The recorder is deliberately decoupled from the telemetry hub: it must
@@ -23,7 +22,7 @@ from collections import deque
 from typing import Any, Optional
 
 #: Default ring capacity. Sized so a dump stays a few KiB of JSON while
-#: still covering hundreds of barrier rounds of context.
+#: still covering hundreds of pool events of context.
 DEFAULT_CAPACITY = 256
 
 #: Schema stamped into every dump file.

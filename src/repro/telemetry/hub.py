@@ -119,59 +119,6 @@ class TelemetryHub:  # simlint: boundary[epoch-serialized telemetry fan-in]
         subsystem.l2.telemetry = self
         subsystem.dram.telemetry = self
 
-    def bind_shard(
-        self,
-        *,
-        num_sms: int,
-        warps_per_sm: int,
-        dram: Any,
-        stats: Any,
-        l1s: list[Any],
-    ) -> None:
-        """Wire this hub as the parent-side merge target of a sharded run.
-
-        The shard engine owns no ``GPUSimulator``: lanes record into
-        per-lane buffers and the
-        :class:`~repro.shard.telemetry.ShardTelemetryCoordinator` feeds
-        the merge through this hub. ``stats``/``l1s`` are the
-        coordinator's barrier-updated view objects, exposing exactly the
-        attributes the interval collector reads.
-        """
-        if self.stalls is not None:
-            raise ValueError(
-                "a TelemetryHub binds to exactly one simulator; build a new "
-                "hub per run"
-            )
-        self.num_sms = num_sms
-        self.stalls = StallEngine(num_sms, dram)
-        self.intervals = IntervalCollector(
-            stats, l1s, window=self.window, num_sms=num_sms, stalls=self.stalls
-        )
-        for sink in self._interval_sinks:
-            self.intervals.add_sink(sink)
-        if self.trace is not None:
-            self.trace.set_topology(num_sms, warps_per_sm)
-
-    def unbind(self) -> None:
-        """Detach from a failed sharded attempt so the hub can rebind.
-
-        A lost shard worker triggers a retry (or serial degradation); the
-        replacement run must start from clean telemetry, so this drops
-        the stall/interval state and resets every sink that buffered or
-        wrote partial output.
-        """
-        self.num_sms = 0
-        self.stalls = None
-        self.intervals = None
-        self.events_emitted = 0
-        self._finished = False
-        reset: list[TelemetrySink] = []
-        for sink in self._event_sinks + self._interval_sinks:
-            if any(sink is done for done in reset):
-                continue
-            reset.append(sink)
-            sink.reset()
-
     # ------------------------------------------------------------------
     # Run-time hooks (called by the simulator main loop)
     # ------------------------------------------------------------------

@@ -88,8 +88,7 @@ class IntervalCollector:
         self._stats = stats
         self._l1s = l1s
         self._num_sms = num_sms
-        #: Memory-side (L2/DRAM) counters; the sharded engine's stats view
-        #: exposes the parent-held authoritative bundle under the same name.
+        #: Memory-side (L2/DRAM) counters.
         self._memory = getattr(stats, "memory", None)
         #: Stall engine for the exclusive-cause fraction metrics; a
         #: collector built without one reports those fractions as 0.0.
@@ -212,8 +211,7 @@ class IntervalCollector:
 
         Normalising by the window's *observed* issue+stall deltas (rather
         than ``span * num_sms``) keeps the fractions exact at flush ticks,
-        where the boundary tick's charges land before the flush in both
-        the serial loop and the sharded barrier merge.
+        where the boundary tick's charges land before the flush.
         """
         stalls = self._stalls
         if stalls is None:
@@ -226,7 +224,7 @@ class IntervalCollector:
         return delta / total if total else 0.0
 
     # Indices follow STALL_CAUSES declaration order (the stable contract;
-    # see repro/telemetry/stalls.py and repro/shard/telemetry.py).
+    # see repro/telemetry/stalls.py).
 
     def _metric_stall_frac_mshr_full(self) -> float:
         return self._stall_frac(0)

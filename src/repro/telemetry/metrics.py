@@ -1,11 +1,11 @@
 """Run-wide metrics registry: typed counters, gauges and histograms.
 
 Where the stall engine and interval collector describe *one simulated
-kernel*, this registry describes *the harness itself*: how many epoch
-windows the shard engine ran, how often pool workers were requeued, how
-the runner's memo cache is hitting. Every metric has a stable dotted
-name declared in :data:`METRICS` — the single source of truth, mirroring
-what :data:`repro.telemetry.events.EVENT_TYPES` is to telemetry events.
+kernel*, this registry describes *the harness itself*: how often pool
+workers were requeued, how the runner's memo cache is hitting. Every
+metric has a stable dotted name declared in :data:`METRICS` — the single
+source of truth, mirroring what
+:data:`repro.telemetry.events.EVENT_TYPES` is to telemetry events.
 simlint's SL011 pass cross-checks every ``counter(...)`` /
 ``gauge(...)`` / ``histogram(...)`` call site in the tree against this
 dict, so a metric cannot be emitted unregistered or declared and never
@@ -28,22 +28,6 @@ from typing import Any, Optional, Union
 #: ``gauge`` (set-to-current) and ``histogram`` (observation summary).
 #: simlint SL011 keeps emit sites and this dict in lockstep.
 METRICS: dict[str, tuple[str, str]] = {
-    "shard.windows.run": (
-        "counter", "epoch windows executed by the sharded engine"),
-    "shard.barrier.entries": (
-        "counter", "boundary log entries merged and replayed at barriers"),
-    "shard.barrier.wait_cycles": (
-        "counter", "simulated cycles fast-forwarded between epoch windows"),
-    "shard.fills.delivered": (
-        "counter", "barrier-resolved fills delivered back into shard lanes"),
-    "shard.fills.clamped": (
-        "counter", "relaxed-mode fills clamped to the next window start"),
-    "shard.worker.lost": (
-        "counter", "shard workers declared lost (crash or missed deadline)"),
-    "shard.runs.degraded": (
-        "counter", "sharded runs that degraded to the serial engine"),
-    "shard.window.span_cycles": (
-        "histogram", "simulated cycles covered per epoch window (incl. jumps)"),
     "pool.worker.requeues": (
         "counter", "sweep points requeued after a pool worker failure"),
     "pool.worker.deaths": (
@@ -56,10 +40,6 @@ METRICS: dict[str, tuple[str, str]] = {
         "counter", "runner memo-cache hits (registry-identical results reused)"),
     "registry.cache.misses": (
         "counter", "runner memo-cache misses (points actually simulated)"),
-    "resilience.retries": (
-        "counter", "transient-failure retries across shard and sweep layers"),
-    "telemetry.events.merged": (
-        "counter", "lane-recorded telemetry events merged by the parent hub"),
     "flight.dumps.written": (
         "counter", "crash flight-recorder dumps written to disk"),
 }

@@ -129,29 +129,6 @@ class StallEngine:
         for sm_id, cause in enumerate(self._last_cause):
             self._stalls[sm_id][cause] += skipped
 
-    def charge(self, sm_id: int, cause: int) -> None:
-        """Directly charge one stall cycle by cause index.
-
-        Used by the sharded barrier merge, where the lane-side recorder
-        already classified the tick and the parent only needs to book it
-        (indices follow :data:`STALL_CAUSES` order).
-        """
-        self._charge(sm_id, cause)
-
-    def close_residual(self, total_cycles: int) -> None:
-        """Charge each SM's unaccounted cycles to its last-known cause.
-
-        Relaxed-epoch sharding (``epoch_cycles > 1``) lets lanes skip
-        ticks independently inside a window, so some SM-cycles are never
-        observed by any hook. Closing them against the SM's most recent
-        cause keeps the exclusive-cause reconciliation identities exact;
-        the attribution of those cycles is approximate by contract.
-        """
-        for sm_id, cause in enumerate(self._last_cause):
-            residual = total_cycles - self._issues[sm_id] - sum(self._stalls[sm_id])
-            if residual > 0:
-                self._stalls[sm_id][cause] += residual
-
     def _charge(self, sm_id: int, cause: int) -> None:
         self._stalls[sm_id][cause] += 1
         self._last_cause[sm_id] = cause

@@ -22,7 +22,9 @@ import pytest
 
 from conftest import make_config
 from repro.experiments import runner
+from repro.experiments.configs import CONFIGS
 from repro.experiments.parallel import (
+    HeartbeatRelay,
     ProgressWriter,
     QueueHeartbeatSink,
     figure_points,
@@ -33,6 +35,11 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.sweep import ResultsStore, run_sweep, sweep_points
 from repro.registry.store import RegistryStore
+from repro.sm.simulator import simulate
+from repro.telemetry import TelemetryHub
+from repro.telemetry.export import InMemorySink
+from repro.workloads.suite import workload
+from repro.workloads.synthetic import build_kernel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,6 +128,31 @@ class TestQueueHeartbeatSink:
         sink.on_interval({"cycle_end": 1, "ipc": 0.1, "ipc_cum": 0.1})  # no raise
 
 
+class TestHeartbeatRelay:
+    def test_relay_renders_intervals_through_progress_writer(self):
+        # A pool worker's QueueHeartbeatSink feeds the parent's relay; wire
+        # the real relay + writer to a hub and require one rendered line
+        # per interval record.
+        stream = io.StringIO()
+        relay = HeartbeatRelay(ProgressWriter(stream))
+        try:
+            hub = TelemetryHub(window=500)
+            tap = InMemorySink()
+            hub.add_interval_sink(tap)
+            hub.add_interval_sink(
+                QueueHeartbeatSink(relay.queue, "KM|apres|0.05"))
+            simulate(build_kernel(workload("KM"), SCALE), make_config(num_sms=2),
+                     CONFIGS["apres"].build, telemetry=hub)
+        finally:
+            relay.close()
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == len(tap.intervals) > 0
+        for line, interval in zip(lines, tap.intervals):
+            assert line.startswith("[telemetry] KM|apres|0.05: cycle ")
+            assert f"cycle {interval['cycle_end']:,}" in line
+            assert f"IPC {interval['ipc']:.3f}" in line
+
+
 class TestParallelSweepIdentity:
     def test_jobs2_jsonl_is_byte_identical_to_serial(self, tmp_path):
         cfg = make_config()
@@ -130,6 +162,18 @@ class TestParallelSweepIdentity:
         s2 = run_sweep(tiny_points(), str(parallel), gpu_config=cfg, jobs=2)
         assert s1.simulated == s2.simulated == len(tiny_points())
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_telemetry_sweep_jobs2_is_byte_identical(self, tmp_path):
+        cfg = make_config(num_sms=2)
+        points = sweep_points(["KM"], ("base",), (SCALE,))
+        serial = tmp_path / "serial.jsonl"
+        parallel = tmp_path / "parallel.jsonl"
+        run_sweep(points, str(serial), gpu_config=cfg, telemetry=True)
+        run_sweep(points, str(parallel), gpu_config=cfg, telemetry=True,
+                  jobs=2, heartbeat_writer=ProgressWriter(io.StringIO()))
+        assert parallel.read_bytes() == serial.read_bytes()
+        record = next(iter(ResultsStore(str(serial)).load().values()))
+        assert record["stalls"]["top_cause"]
 
     def test_parallel_failure_records_match_serial(self, tmp_path):
         doomed = make_config()

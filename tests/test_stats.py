@@ -26,14 +26,6 @@ class TestCacheStats:
                        prefetch_early_evicted=2)
         assert s.early_eviction_ratio == 0.2
 
-    def test_merge_accumulates(self):
-        a = CacheStats(accesses=5, hits=3, misses=2)
-        b = CacheStats(accesses=10, hits=1, misses=9)
-        a.merge(b)
-        assert a.accesses == 15
-        assert a.hits == 4
-        assert a.misses == 11
-
 
 class TestMemoryStats:
     def test_avg_latency(self):

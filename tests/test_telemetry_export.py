@@ -143,7 +143,7 @@ class TestIntervalRecords:
         )
 
     def test_load_characteristic_metrics_are_bounded_fractions(self):
-        """The sampling-signature metrics: L2 miss rate and the
+        """The load-characteristic metrics: L2 miss rate and the
         exclusive-cause stall fractions are all in [0, 1], and the stall
         fractions — one exclusive cause per stalled SM-cycle — never sum
         past 1 within a window."""

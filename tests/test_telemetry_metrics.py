@@ -24,12 +24,22 @@ from repro.telemetry.metrics import (
     write_metrics,
 )
 
+#: No harness metric is a histogram, so the histogram checks declare one.
+TEST_HISTOGRAM = "test.span_cycles"
+
+
+@pytest.fixture
+def test_histogram(monkeypatch):
+    monkeypatch.setitem(METRICS, TEST_HISTOGRAM,
+                        ("histogram", "test-only observation summary"))
+    return TEST_HISTOGRAM
+
 
 class TestMetricsRegistry:
     def test_undeclared_name_is_rejected_with_a_pointer_to_sl011(self):
         registry = MetricsRegistry()
         with pytest.raises(KeyError, match="SL011"):
-            registry.counter("shard.windows.unheard_of")
+            registry.counter("pool.worker.unheard_of")
 
     def test_type_mismatch_is_rejected(self):
         registry = MetricsRegistry()
@@ -38,7 +48,7 @@ class TestMetricsRegistry:
 
     def test_counter_is_monotonic(self):
         registry = MetricsRegistry()
-        counter = registry.counter("shard.windows.run")
+        counter = registry.counter("pool.worker.requeues")
         counter.inc()
         counter.inc(3)
         assert counter.value == 4
@@ -47,12 +57,12 @@ class TestMetricsRegistry:
 
     def test_instruments_are_memoised_per_name(self):
         registry = MetricsRegistry()
-        assert registry.counter("shard.windows.run") is \
-            registry.counter("shard.windows.run")
+        assert registry.counter("registry.cache.hits") is \
+            registry.counter("registry.cache.hits")
 
-    def test_histogram_summarises_observations(self):
+    def test_histogram_summarises_observations(self, test_histogram):
         registry = MetricsRegistry()
-        hist = registry.histogram("shard.window.span_cycles")
+        hist = registry.histogram(test_histogram)
         for value in (10, 2, 7):
             hist.observe(value)
         assert (hist.count, hist.sum, hist.min, hist.max) == (3, 19, 2, 10)
@@ -66,38 +76,40 @@ class TestMetricsRegistry:
 
 
 class TestMetricsExport:
-    def _touched(self):
+    @pytest.fixture
+    def touched(self, test_histogram):
         registry = MetricsRegistry()
-        registry.counter("shard.windows.run").inc(5)
+        registry.counter("registry.cache.hits").inc(5)
         registry.gauge("pool.workers.alive").set(2)
-        registry.histogram("shard.window.span_cycles").observe(64)
+        registry.histogram(test_histogram).observe(64)
         return registry
 
-    def test_json_export_validates_and_is_deterministic(self, tmp_path):
-        registry = self._touched()
+    def test_json_export_validates_and_is_deterministic(self, tmp_path,
+                                                        touched):
+        registry = touched
         out = tmp_path / "metrics.json"
         prom_path = write_metrics(str(out), registry)
         assert prom_path == str(out) + ".prom"
         payload = json.loads(out.read_text())
         assert validate_metrics_export(payload) == []
         assert payload["schema"] == "repro-telemetry-metrics"
-        assert payload["metrics"]["shard.windows.run"]["value"] == 5
-        assert payload["metrics"]["shard.window.span_cycles"]["count"] == 1
+        assert payload["metrics"]["registry.cache.hits"]["value"] == 5
+        assert payload["metrics"][TEST_HISTOGRAM]["count"] == 1
         first = out.read_bytes()
         write_metrics(str(out), registry)
         assert out.read_bytes() == first  # atomic rewrite, same bytes
 
-    def test_prometheus_textfile_flattens_names(self, tmp_path):
-        registry = self._touched()
+    def test_prometheus_textfile_flattens_names(self, tmp_path, touched):
+        registry = touched
         out = tmp_path / "metrics.json"
         prom = (tmp_path / "metrics.json.prom")
         write_metrics(str(out), registry)
         text = prom.read_text()
-        assert "# TYPE shard_windows_run counter" in text
-        assert "shard_windows_run 5" in text
+        assert "# TYPE registry_cache_hits counter" in text
+        assert "registry_cache_hits 5" in text
         assert "# TYPE pool_workers_alive gauge" in text
-        assert "shard_window_span_cycles_count 1" in text
-        assert "shard_window_span_cycles_sum 64" in text
+        assert "test_span_cycles_count 1" in text
+        assert "test_span_cycles_sum 64" in text
 
     def test_validator_flags_undeclared_and_mistyped_entries(self):
         payload = {
@@ -139,7 +151,7 @@ class TestFlightRecorder:
 
     def test_dump_writes_schema_valid_json(self, tmp_path):
         ring = FlightRecorder(capacity=8)
-        ring.record("barrier", window=3)
+        ring.record("pool.requeue", index=3)
         ring.record("worker_death", cause="crash")
         path = ring.dump("unit test!", directory=str(tmp_path),
                          details={"index": 7})
@@ -150,7 +162,7 @@ class TestFlightRecorder:
         assert payload["reason"] == "unit test!"
         assert payload["details"] == {"index": 7}
         assert [e["kind"] for e in payload["events"]] == \
-            ["barrier", "worker_death"]
+            ["pool.requeue", "worker_death"]
 
     def test_dump_respects_env_dir_and_counts_into_metrics(
             self, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import broadcast_kernel, make_config, mixed_kernel, streaming_kernel
 from repro.errors import InvariantError
+from repro.experiments import runner
 from repro.experiments.configs import CONFIGS
 from repro.sm.simulator import GPUSimulator, simulate
 from repro.telemetry import STALL_CAUSES, StallEngine, TelemetryHub
@@ -135,6 +136,21 @@ class TestHubLifecycle:
             report["issue_cycles"] + report["stall_cycles"]
             == result.stats.cycles * NUM_SMS
         )
+
+
+    def test_runner_run_with_hub_bypasses_the_memo_cache(self):
+        # A hub binds to one simulator, so a telemetry run must neither
+        # replay a memoised result nor seed the cache with its own.
+        runner.clear_cache()
+        plain = runner.run("KM", "apres", scale=0.05)
+        hub = TelemetryHub()
+        traced = runner.run("KM", "apres", scale=0.05, telemetry=hub)
+        assert traced is not plain
+        assert traced.cycles == plain.cycles
+        assert runner.run("KM", "apres", scale=0.05) is plain
+        summary = hub.stall_summary(traced.sim.stats)
+        assert summary["issue_cycles"] == traced.sim.stats.instructions
+        runner.clear_cache()
 
 
 class TestPrefetchConservation:
