@@ -406,6 +406,18 @@ class Analyzer:
         worklist: list[tuple[str, str, str]] = [
             (cls, meth, TAG_PRIVATE) for cls, meth in roots
         ]
+        # A callback an SM builds once in ``__init__`` (and hands to the L1
+        # and the event queue on every load) runs on the cycle path just
+        # like one built per call, so its ``__call__`` is reached too.
+        for name in self.sm_classes:
+            found = self.find_method(name, "__init__")
+            if found is None:
+                continue
+            for site in found[1].calls:
+                if (site.kind == "name" and site.callee in self.classes
+                        and self.find_method(site.callee, "__call__") is not None):
+                    self._enqueue(worklist, site.callee, "__call__",
+                                  self.callee_tag(site.callee, TAG_PRIVATE))
         while worklist:
             cls_name, meth_name, tag = worklist.pop()
             tags = self.node_tags.setdefault((cls_name, meth_name), set())

@@ -21,8 +21,11 @@ from repro.errors import CheckpointError
 #: Bump when the on-disk layout changes incompatibly (2: ``SMCore`` gained
 #: ``sleep_until`` and its prebuilt issue candidates; 3: ``SMCore`` gained
 #: its issuable-warp pool, the LLT its ``llpc → warps`` index, LAWS its
-#: ready bitmap and ``GPUSimulator`` its done-SM prefix).
-CHECKPOINT_FORMAT = 3
+#: ready bitmap and ``GPUSimulator`` its done-SM prefix; 4: ``SMCore``
+#: replaced the pool by a ready list and a wake heap and gained one
+#: completion callback per warp, and tag arrays gained their
+#: prefetched-line flag).
+CHECKPOINT_FORMAT = 4
 
 _MAGIC = "repro-checkpoint"
 

@@ -54,6 +54,9 @@ class AccessOutcome(enum.Enum):
     STALL = "stall"
 
 
+_HIT = AccessOutcome.HIT
+
+
 class L1Cache:
     """One SM's L1 data cache."""
 
@@ -124,11 +127,23 @@ class L1Cache:
         emit = tel is not None and tel.events
         meta = self._tags.probe(line_addr)
         if meta is not None:
-            self._record_hit(meta)
+            # Hit accounting, inline: see _record_miss for the miss side.
+            stats = self.stats
+            stats.accesses += 1
+            stats.hits += 1
+            last_hit = self._last_access_hit
+            if last_hit:
+                stats.hit_after_hit += 1
+            elif last_hit is not None:
+                stats.hit_after_miss += 1
+            self._last_access_hit = True
+            if meta.prefetched and not meta.referenced:
+                stats.prefetch_useful += 1
+            meta.referenced = True
             if emit:
                 tel.emit(L1AccessEvent(
                     cycle=now, sm=tel.sm_id, line_addr=line_addr, outcome="hit"))
-            return AccessOutcome.HIT, now + self._hit_latency
+            return _HIT, now + self._hit_latency
 
         entry = self._mshrs.lookup(line_addr)
         if entry is not None:
@@ -208,23 +223,22 @@ class L1Cache:
         line counts as already used (no early eviction possible).
         """
         entry = self._mshrs.release(line_addr)
-        demanded = bool(entry.demand_issue_cycles)
-        meta = LineMeta(
-            filler_warp=entry.filler_warp,
-            prefetched=entry.prefetch_only,
-            referenced=demanded,
-        )
-        if entry.prefetch_only:
+        prefetch_only = entry.prefetch_only
+        issue_cycles = entry.demand_issue_cycles
+        # (filler_warp, prefetched, referenced): demands that merged while
+        # in flight count as the line's first use.
+        meta = LineMeta(entry.filler_warp, prefetch_only, bool(issue_cycles))
+        if prefetch_only:
             self.stats.prefetch_fills += 1
         tel = self.telemetry
         if tel is not None and tel.events:
             tel.emit(L1FillEvent(
                 cycle=now, sm=tel.sm_id, line_addr=line_addr,
-                prefetch=entry.prefetch_only))
+                prefetch=prefetch_only))
         victim = self._tags.insert(line_addr, meta)
         if victim is not None:
-            self._on_eviction(*victim, now=now)
-        for issue_cycle in entry.demand_issue_cycles:
+            self._on_eviction(victim[0], victim[1], now)
+        for issue_cycle in issue_cycles:
             self.stats_latency(issue_cycle, now)
         for cb in entry.callbacks:
             cb(now)
@@ -238,18 +252,6 @@ class L1Cache:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _record_hit(self, meta: LineMeta) -> None:
-        self.stats.accesses += 1
-        self.stats.hits += 1
-        if self._last_access_hit:
-            self.stats.hit_after_hit += 1
-        elif self._last_access_hit is not None:
-            self.stats.hit_after_miss += 1
-        self._last_access_hit = True
-        if meta.prefetched and not meta.referenced:
-            self.stats.prefetch_useful += 1
-        meta.referenced = True
 
     def _record_miss(self, line_addr: int) -> None:
         self.stats.accesses += 1

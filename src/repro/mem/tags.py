@@ -32,7 +32,7 @@ class TagArray:
     """
 
     __slots__ = ("_config", "_num_sets", "_assoc", "_line", "_sets",
-                 "_pow2", "_line_shift", "_set_mask")
+                 "_pow2", "_line_shift", "_set_mask", "_held_prefetch")
 
     def __init__(self, config: CacheConfig):
         self._config = config
@@ -43,11 +43,16 @@ class TagArray:
             None
         ] * self._num_sets
         # Power-of-two geometry (every real config) lets the per-access set
-        # index be a shift+mask instead of a divmod pair.
+        # index be a shift+mask instead of a divmod pair. probe, insert and
+        # invalidate compute it inline, saving a call per access.
         line, sets = self._line, self._num_sets
         self._pow2 = line & (line - 1) == 0 and sets & (sets - 1) == 0
         self._line_shift = line.bit_length() - 1
         self._set_mask = sets - 1
+        #: Set by the first insert of a prefetched line. Until then no set
+        #: can hold an unreferenced prefetched line, so the victim is the
+        #: LRU line without scanning the set.
+        self._held_prefetch = False
 
     def set_index(self, line_addr: int) -> int:
         if self._pow2:
@@ -56,7 +61,10 @@ class TagArray:
 
     def probe(self, line_addr: int, update_lru: bool = True) -> Optional[LineMeta]:
         """Return the line's metadata if resident, promoting it to MRU."""
-        s = self._sets[self.set_index(line_addr)]
+        if self._pow2:
+            s = self._sets[(line_addr >> self._line_shift) & self._set_mask]
+        else:
+            s = self._sets[self.set_index(line_addr)]
         if s is None:
             return None
         meta = s.get(line_addr)
@@ -73,10 +81,15 @@ class TagArray:
         thrown away the moment demand traffic sweeps the set — but
         prefetches can never pin a whole set either.
         """
-        index = self.set_index(line_addr)
-        if self._sets[index] is None:
-            self._sets[index] = OrderedDict()
+        if meta.prefetched:
+            self._held_prefetch = True
+        if self._pow2:
+            index = (line_addr >> self._line_shift) & self._set_mask
+        else:
+            index = self.set_index(line_addr)
         s = self._sets[index]
+        if s is None:
+            s = self._sets[index] = OrderedDict()
         victim: Optional[tuple[int, LineMeta]] = None
         if line_addr in s:
             # Refill of a resident line: replace metadata in place.
@@ -84,16 +97,17 @@ class TagArray:
             s.move_to_end(line_addr)
             return None
         if len(s) >= self._assoc:
-            pending = sum(1 for m in s.values() if m.prefetched and not m.referenced)
-            protect = pending <= self._assoc // 2
             victim_addr = None
-            if protect:
-                # Scan is intentionally in OrderedDict recency order (oldest
-                # first = LRU); that order is deterministic, not hash order.
-                victim_addr = next(
-                    (a for a, m in s.items() if not (m.prefetched and not m.referenced)),  # simlint: ignore[SL001]
-                    None,
-                )
+            # Without a prefetched line the LRU line is the victim as is.
+            if self._held_prefetch:
+                pending = sum(1 for m in s.values() if m.prefetched and not m.referenced)
+                if pending <= self._assoc // 2:
+                    # Scan is intentionally in OrderedDict recency order (oldest
+                    # first = LRU); that order is deterministic, not hash order.
+                    victim_addr = next(
+                        (a for a, m in s.items() if not (m.prefetched and not m.referenced)),  # simlint: ignore[SL001]
+                        None,
+                    )
             if victim_addr is None:
                 victim = s.popitem(last=False)
             else:
@@ -103,7 +117,10 @@ class TagArray:
 
     def invalidate(self, line_addr: int) -> Optional[LineMeta]:
         """Drop a line (write-evict stores); return its metadata if present."""
-        s = self._sets[self.set_index(line_addr)]
+        if self._pow2:
+            s = self._sets[(line_addr >> self._line_shift) & self._set_mask]
+        else:
+            s = self._sets[self.set_index(line_addr)]
         if s is None:
             return None
         return s.pop(line_addr, None)

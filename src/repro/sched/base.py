@@ -53,8 +53,10 @@ class WarpScheduler(abc.ABC):
     def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
         """Pick the warp to issue this cycle, or ``None`` to stay idle.
 
-        ``candidates`` is in ascending ``warp_id`` order. The SM builds its
-        candidate objects once and reuses them every cycle.
+        ``candidates`` is in ascending ``warp_id`` order. It is usually the
+        SM's live ready list itself, not a copy: a scheduler must neither
+        mutate it nor keep a reference to it past this call. The SM builds
+        its candidate objects once and reuses them every cycle.
         """
 
     # ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional, Sequence
 
 from repro.sched.base import IssueCandidate, WarpScheduler
@@ -28,13 +29,10 @@ class LRRScheduler(WarpScheduler):
     def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
         # Candidates arrive in ascending warp order, so the circular scan
         # from the pointer is: the first id at or past it, else the first.
+        # ``(start,)`` sorts before every candidate of warp ``start``.
         if not candidates:
             return None
-        start = self._next
-        wid = candidates[0].warp_id
-        for c in candidates:
-            if c.warp_id >= start:
-                wid = c.warp_id
-                break
+        i = bisect_left(candidates, (self._next,))
+        wid = candidates[i if i < len(candidates) else 0].warp_id
         self._next = (wid + 1) % self._num_warps
         return wid

@@ -11,9 +11,9 @@ issued into the L1 as prefetch fills.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
-from operator import attrgetter
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.config import GPUConfig
@@ -42,14 +42,21 @@ LoadObserver = Callable[[LoadAccess, list[bool]], None]
 #: ``SMCore.sleep_until`` of an SM that only a memory fill can wake.
 SLEEP_FOREVER = 1 << 62
 
-_WARP_ID = attrgetter("warp_id")
+# Hoisted enum members: the issue and load paths compare against them on
+# every instruction and every line request.
+_ALU = Op.ALU
+_STORE = Op.STORE
+_HIT = AccessOutcome.HIT
+_STALL = AccessOutcome.STALL
 
 
 class _WarpMemDone:
-    """Completion callback for one of a warp's line requests.
+    """Completion callback for a warp's line requests.
 
-    A module-level callable (not a closure) so MSHR callback lists and the
-    event queue stay picklable for checkpointing.
+    One per warp, built with the SM and shared by every fill and hit
+    completion of that warp. A module-level callable (not a closure) so
+    MSHR callback lists and the event queue stay picklable for
+    checkpointing.
     """
 
     __slots__ = ("sm", "warp")
@@ -63,23 +70,25 @@ class _WarpMemDone:
 
 
 class _PendingLoad:
-    """A load whose line requests have not all been accepted by the L1."""
+    """A load whose line requests have not all been accepted by the L1.
 
-    __slots__ = ("warp", "pc", "primary_addr", "remaining", "line_addrs", "line_hits")
+    ``line_hits`` holds one outcome per committed line, so the next line
+    to send is ``line_addrs[len(line_hits)]``.
+    """
+
+    __slots__ = ("warp", "pc", "primary_addr", "line_addrs", "line_hits")
 
     def __init__(
         self,
         warp: WarpContext,
         pc: int,
         primary_addr: int,
-        remaining: deque[int],
         line_addrs: tuple[int, ...],
         line_hits: list[bool],
     ):
         self.warp = warp
         self.pc = pc
         self.primary_addr = primary_addr
-        self.remaining = remaining
         self.line_addrs = line_addrs
         self.line_hits = line_hits
 
@@ -96,8 +105,10 @@ class SMCore:
         "_subsystem",
         "_stats",
         "warps",
-        "_issuable",
+        "_ready",
+        "_wake",
         "_replay",
+        "_body",
         "_is_mem_at",
         "_issue_latency",
         "_line_size",
@@ -107,6 +118,7 @@ class SMCore:
         "load_observers",
         "_telemetry",
         "_candidates",
+        "_on_mem_done",
         "sleep_until",
     )
 
@@ -140,14 +152,25 @@ class SMCore:
             WarpContext(w, sm_id * config.max_warps_per_sm + w, kernel, wave_stride)
             for w in range(config.max_warps_per_sm)
         ]
-        #: The warps that are neither finished nor waiting on memory, in
-        #: ascending ``warp_id`` order: the only ones the issue scan and the
-        #: wake hints need to look at. ``_issue_load`` removes a warp when it
-        #: becomes outstanding, ``_mem_done`` re-inserts it when its last
-        #: request returns, and ``_finish_instruction`` removes a warp that
-        #: finishes with nothing in flight.
-        self._issuable = list(self.warps)
+        #: ``(IssueCandidate(w, False), IssueCandidate(w, True))`` per warp,
+        #: built once so the issue path allocates no candidates.
+        self._candidates = tuple(
+            (IssueCandidate(w.warp_id, False), IssueCandidate(w.warp_id, True))
+            for w in self.warps
+        )
+        # Every warp that is neither finished nor waiting on memory is in
+        # exactly one of the next two structures.
+        #: Prebuilt candidates of the warps whose ``ready_at`` has passed,
+        #: in ascending ``warp_id`` order: the list ``select`` receives.
+        #: ``cycle`` fills it from ``_wake`` and removes the warp it issues.
+        self._ready: list[IssueCandidate] = []
+        #: Min-heap of ``(ready_at, warp_id)`` for the warps not ready yet;
+        #: every warp starts here, due at cycle 0. ``_issue`` pushes a warp
+        #: that is not waiting on memory, and ``_mem_done`` pushes one whose
+        #: last request returned.
+        self._wake: list[tuple[int, int]] = [(0, w.warp_id) for w in self.warps]
         self._replay: deque[_PendingLoad] = deque()
+        self._body = kernel.body
         self._is_mem_at = tuple(i.is_mem for i in kernel.body)
         # Hoisted config scalars: the cycle loop reads these every issue and
         # attribute chains through frozen dataclasses are comparatively slow.
@@ -163,12 +186,8 @@ class SMCore:
         #: Per-SM telemetry proxy; ``None`` (the default) keeps the issue
         #: loop's instrumentation to one identity test per cycle.
         self._telemetry = None
-        #: ``(IssueCandidate(w, False), IssueCandidate(w, True))`` per warp,
-        #: built once so the issue scan allocates nothing.
-        self._candidates = tuple(
-            (IssueCandidate(w.warp_id, False), IssueCandidate(w.warp_id, True))
-            for w in self.warps
-        )
+        #: Each warp's completion callback, shared by all its line requests.
+        self._on_mem_done = tuple(_WarpMemDone(self, w) for w in self.warps)
         #: The engine skips this SM while ``now < sleep_until``: its replay
         #: queue is empty and no warp can issue before that cycle, so each
         #: skipped ``cycle`` would only have counted one idle cycle. Set by
@@ -206,26 +225,24 @@ class SMCore:
         Warps stalled on memory (or loads parked in the replay queue) wake
         through fill events, so they contribute no hint.
         """
-        hint: Optional[int] = None
-        for w in self._issuable:
-            if w.ready_at > now and (hint is None or w.ready_at < hint):
-                hint = w.ready_at
-        return hint
+        wake = self._wake
+        if not wake:
+            return None
+        if wake[0][0] > now:
+            return wake[0][0]
+        # Only before this cycle's ``cycle(now)`` can warps that are due
+        # still sit in the heap; they are ready, not future.
+        return min((ready_at for ready_at, _ in wake if ready_at > now), default=None)
 
     def has_pending_work(self, now: int) -> bool:
         """True when :meth:`cycle` at ``now`` could do more than count idle.
 
         Exactly the condition under which ``cycle(now)`` mutates anything
-        besides ``idle_cycles``: a parked load to retry, or a warp that
-        enters the candidate scan (even if it only charges an LSU
-        structural stall).
+        besides ``idle_cycles``: a parked load to retry, or a ready warp
+        (even if it only charges an LSU structural stall).
         """
-        if self._replay:
-            return True
-        for w in self._issuable:
-            if w.ready_at <= now:
-                return True
-        return False
+        wake = self._wake
+        return bool(self._replay or self._ready or (wake and wake[0][0] <= now))
 
     # ------------------------------------------------------------------
     # Cycle loop
@@ -234,60 +251,54 @@ class SMCore:
     def cycle(self, now: int) -> bool:
         """Advance one cycle; returns True if an instruction was issued.
 
-        Only the issuable pool is scanned, in ascending warp order, so
-        candidates reach the scheduler in that order. When nothing can
-        issue and no load waits for replay, the SM goes to sleep until its
-        earliest dependent-issue wake-up (see ``sleep_until``).
+        Warps whose ``ready_at`` has come move from the wake heap into the
+        ready list, which is the scheduler's candidate list, in ascending
+        warp order. When nothing can issue and no load waits for replay,
+        the SM goes to sleep until the heap's earliest wake-up (see
+        ``sleep_until``).
         """
         replay = self._replay
         if replay:
             self._process_replay(now)
-        lsu_blocked = len(replay) >= self.LSU_QUEUE_DEPTH
+        ready = self._ready
+        wake = self._wake
+        if wake and wake[0][0] <= now:
+            warps = self.warps
+            prebuilt = self._candidates
+            is_mem_at = self._is_mem_at
+            while wake and wake[0][0] <= now:
+                wid = heappop(wake)[1]
+                insort(ready, prebuilt[wid][is_mem_at[warps[wid].pc_index]])
         tel = self._telemetry
         stats = self._stats
-        # Snapshot the structural-stall counter so the idle branch can tell
-        # MSHR gating apart without any work inside the candidate loop.
-        gate_base = stats.lsu_structural_stalls if tel is not None else 0
-
-        candidates = []
-        append = candidates.append
-        is_mem_at = self._is_mem_at
-        prebuilt = self._candidates
-        wake = SLEEP_FOREVER
-        for w in self._issuable:
-            # Never true while the pool is maintained. A count corrupted
-            # behind the pipeline's back is skipped, as the full scan did,
-            # so the integrity sweep still sees it before the warp issues.
-            if w.outstanding:
-                continue
-            ready_at = w.ready_at
-            if ready_at > now:
-                if ready_at < wake:
-                    wake = ready_at
-                continue
-            is_mem = is_mem_at[w.pc_index]
-            if is_mem and lsu_blocked:
-                stats.lsu_structural_stalls += 1
-                continue
-            append(prebuilt[w.warp_id][is_mem])
+        candidates = ready
+        if replay and len(replay) >= self.LSU_QUEUE_DEPTH:
+            # Memory issue is blocked: offer only the arithmetic warps.
+            candidates = [c for c in ready if not c[1]]
+            stats.lsu_structural_stalls += len(ready) - len(candidates)
         if not candidates:
             stats.idle_cycles += 1
             if not replay:
-                self.sleep_until = wake
+                self.sleep_until = wake[0][0] if wake else SLEEP_FOREVER
             if tel is not None:
-                tel.on_idle(
-                    self, now, stats.lsu_structural_stalls - gate_base
-                )
+                tel.on_idle(self, now, len(ready) - len(candidates))
             return False
 
         chosen = self._scheduler.select(candidates, now)
         if chosen is None:
-            self._stats.idle_cycles += 1
+            stats.idle_cycles += 1
             if tel is not None:
                 tel.on_throttle(now)
             return False
         warp = self.warps[chosen]
-        self._issue(warp, warp.current_instr, now)
+        if warp.outstanding:
+            # Never true while the ready list is maintained: only a count
+            # corrupted behind the pipeline's back gets here, and such a
+            # warp must not issue. The sweep names the corruption.
+            self.check_invariants(now)
+            raise AssertionError(f"warp {chosen} is ready with requests in flight")
+        del ready[bisect_left(ready, (chosen,))]
+        self._issue(warp, self._body[warp.pc_index], now)
         return True
 
     # ------------------------------------------------------------------
@@ -297,13 +308,14 @@ class SMCore:
     def _issue(self, warp: WarpContext, instr: Instr, now: int) -> None:
         stats = self._stats
         stats.instructions += 1
+        op = instr.op
         tel = self._telemetry
         if tel is not None:
             tel.on_issue()
             if tel.events:
-                if instr.op is Op.ALU:
+                if op is _ALU:
                     dur = self._issue_latency
-                elif instr.op is Op.STORE:
+                elif op is _STORE:
                     dur = 1
                 else:
                     dur = None  # a load's span ends at its mem_complete
@@ -313,16 +325,16 @@ class SMCore:
                         sm=self.sm_id,
                         warp=warp.warp_id,
                         pc=instr.pc,
-                        op=instr.op.name,
+                        op=op.name,
                         dur=dur,
                     )
                 )
-        self._scheduler.notify_issue(warp.warp_id, instr.is_mem, now)
-        if instr.op is Op.ALU:
+        self._scheduler.notify_issue(warp.warp_id, op is not _ALU, now)
+        if op is _ALU:
             # ALU chains are dependent: the next same-warp issue waits.
             stats.alu_instructions += 1
             warp.ready_at = now + self._issue_latency
-        elif instr.op is Op.STORE:
+        elif op is _STORE:
             # Stores retire into the write path without blocking the warp.
             stats.store_instructions += 1
             _, lines = instr.addr_gen.coalesced(
@@ -333,7 +345,19 @@ class SMCore:
         else:
             stats.load_instructions += 1
             self._issue_load(warp, instr, now)
-        self._finish_instruction(warp)
+        # Retire the pc; only an iteration's last instruction needs
+        # ``advance`` (loop trips, wave refill, finishing).
+        pc_index = warp.pc_index + 1
+        if pc_index < len(self._body):
+            warp.pc_index = pc_index
+        else:
+            warp.advance()
+            if warp.finished:
+                self._finished_warps += 1
+                self._scheduler.notify_warp_finished(warp.warp_id)
+                return
+        if not warp.outstanding:
+            heappush(self._wake, (warp.ready_at, warp.warp_id))
 
     def _issue_load(self, warp: WarpContext, instr: Instr, now: int) -> None:
         addr_gen = instr.addr_gen
@@ -342,10 +366,9 @@ class SMCore:
             warp.global_id, warp.iteration, self._line_size
         )
         # Stall on use: the warp resumes when its last request returns.
-        warp.outstanding += len(lines)
-        self.mem_requests_issued += len(lines)
-        if lines:
-            self._issuable.remove(warp)
+        count = len(lines)
+        warp.outstanding += count
+        self.mem_requests_issued += count
         warp.ready_at = now + 1
         tel = self._telemetry
         if tel is not None and tel.events:
@@ -356,73 +379,88 @@ class SMCore:
                     warp=warp.warp_id,
                     pc=instr.pc,
                     primary_addr=primary,
-                    num_lines=len(lines),
+                    num_lines=count,
                 )
             )
-        pending = _PendingLoad(
-            warp=warp,
-            pc=instr.pc,
-            primary_addr=primary,
-            remaining=deque(lines),
-            line_addrs=tuple(lines),
-            line_hits=[],
-        )
-        self._drain_pending(pending, now)
-        if pending.remaining:
-            self._replay.append(pending)
+        line_addrs = tuple(lines)
+        line_hits: list[bool] = []
+        if not self._commit_lines(warp, instr.pc, primary, line_addrs, line_hits, now):
+            self._replay.append(
+                _PendingLoad(warp, instr.pc, primary, line_addrs, line_hits)
+            )
 
     def _process_replay(self, now: int) -> None:
         """Retry stalled loads in order; a stuck head does not starve the rest."""
-        for _ in range(len(self._replay)):
-            pending = self._replay[0]
-            self._drain_pending(pending, now)
-            if pending.remaining:
-                self._replay.rotate(-1)
+        replay = self._replay
+        for _ in range(len(replay)):
+            pending = replay[0]
+            if self._commit_lines(pending.warp, pending.pc, pending.primary_addr,
+                                  pending.line_addrs, pending.line_hits, now):
+                replay.popleft()
             else:
-                self._replay.popleft()
+                replay.rotate(-1)
 
-    def _drain_pending(self, pending: _PendingLoad, now: int) -> None:
-        """Send line requests to L1 until done or a reservation fails."""
-        warp = pending.warp
-        while pending.remaining:
-            line = pending.remaining[0]
-            outcome, ready = self._l1.access(
-                line, warp.warp_id, now, on_fill=_WarpMemDone(self, warp)
-            )
-            if outcome is AccessOutcome.STALL:
-                return
-            pending.remaining.popleft()
-            hit = outcome is AccessOutcome.HIT
-            pending.line_hits.append(hit)
+    def _commit_lines(
+        self,
+        warp: WarpContext,
+        pc: int,
+        primary_addr: int,
+        line_addrs: tuple[int, ...],
+        line_hits: list[bool],
+        now: int,
+    ) -> bool:
+        """Send a load's uncommitted lines to the L1, in order.
+
+        Appends each committed line's outcome to ``line_hits`` and stops at
+        the first failed reservation. Returns True once every line is
+        committed.
+        """
+        l1 = self._l1
+        subsystem = self._subsystem
+        warp_id = warp.warp_id
+        on_done = self._on_mem_done[warp_id]
+        for line in line_addrs[len(line_hits):]:
+            outcome, ready = l1.access(line, warp_id, now, on_done)
+            if outcome is _STALL:
+                return False
+            hit = outcome is _HIT
+            primary = not line_hits
+            line_hits.append(hit)
             if hit:
-                assert ready is not None
-                self._subsystem.record_hit_latency(ready - now)
-                self._subsystem.events.schedule(ready, _WarpMemDone(self, warp))
-            if len(pending.line_hits) == 1:
+                subsystem.record_hit_latency(ready - now)
+                subsystem.events.schedule(ready, on_done)
+            if primary:
                 # Primary request committed: emit the LSU feedback.
-                self._emit_load_feedback(pending, hit, now)
-        # All lines committed; remaining per-line outcomes (for observers)
-        # were accumulated as they went.
-        if self.load_observers and len(pending.line_hits) == len(pending.line_addrs):
+                self._emit_load_feedback(warp_id, pc, primary_addr, line_addrs, hit, now)
+        if self.load_observers:
             access = LoadAccess(
                 sm_id=self.sm_id,
-                warp_id=warp.warp_id,
-                pc=pending.pc,
-                primary_addr=pending.primary_addr,
-                line_addrs=pending.line_addrs,
-                primary_hit=pending.line_hits[0],
+                warp_id=warp_id,
+                pc=pc,
+                primary_addr=primary_addr,
+                line_addrs=line_addrs,
+                primary_hit=line_hits[0],
                 cycle=now,
             )
             for observer in self.load_observers:
-                observer(access, list(pending.line_hits))
+                observer(access, list(line_hits))
+        return True
 
-    def _emit_load_feedback(self, pending: _PendingLoad, primary_hit: bool, now: int) -> None:
+    def _emit_load_feedback(
+        self,
+        warp_id: int,
+        pc: int,
+        primary_addr: int,
+        line_addrs: tuple[int, ...],
+        primary_hit: bool,
+        now: int,
+    ) -> None:
         access = LoadAccess(
             sm_id=self.sm_id,
-            warp_id=pending.warp.warp_id,
-            pc=pending.pc,
-            primary_addr=pending.primary_addr,
-            line_addrs=pending.line_addrs,
+            warp_id=warp_id,
+            pc=pc,
+            primary_addr=primary_addr,
+            line_addrs=line_addrs,
             primary_hit=primary_hit,
             cycle=now,
         )
@@ -433,13 +471,15 @@ class SMCore:
                 LoadOutcomeEvent(
                     cycle=now,
                     sm=self.sm_id,
-                    warp=access.warp_id,
-                    pc=access.pc,
+                    warp=warp_id,
+                    pc=pc,
                     hit=primary_hit,
                 )
             )
         self._scheduler.notify_load_result(access)
         candidates = self._prefetcher.observe_load(access)
+        if not candidates:
+            return
         line_size = self._line_size
         targets = []
         for cand in candidates:
@@ -489,26 +529,17 @@ class SMCore:
         if warp.outstanding < 0:
             raise AssertionError("memory completion underflow")
         if warp.outstanding == 0:
-            warp.ready_at = max(warp.ready_at, when)
+            if when > warp.ready_at:
+                warp.ready_at = when
             self.sleep_until = 0
             if not warp.finished:
-                self._issuable.insert(
-                    bisect_left(self._issuable, warp.warp_id, key=_WARP_ID), warp
-                )
+                heappush(self._wake, (warp.ready_at, warp.warp_id))
             tel = self._telemetry
             if tel is not None and tel.events:
                 tel.emit(
                     MemCompleteEvent(cycle=when, sm=self.sm_id, warp=warp.warp_id)
                 )
             self._scheduler.notify_mem_complete(warp.warp_id, when)
-
-    def _finish_instruction(self, warp: WarpContext) -> None:
-        warp.advance()
-        if warp.finished:
-            self._finished_warps += 1
-            if not warp.outstanding:
-                self._issuable.remove(warp)
-            self._scheduler.notify_warp_finished(warp.warp_id)
 
     # ------------------------------------------------------------------
     # Integrity
@@ -546,14 +577,25 @@ class SMCore:
                 violate(f"finished warp {w.warp_id} still has "
                         f"{w.outstanding} requests in flight")
             outstanding += w.outstanding
-        pool = [w.warp_id for w in self._issuable]
-        if any(a >= b for a, b in zip(pool, pool[1:])):
-            violate(f"issuable pool {pool} is not in ascending warp order")
+        ready = [c.warp_id for c in self._ready]
+        if any(a >= b for a, b in zip(ready, ready[1:])):
+            violate(f"ready list {ready} is not in strictly ascending warp order")
+        for c in self._ready:
+            w = self.warps[c.warp_id]
+            if c.is_mem != self._is_mem_at[w.pc_index]:
+                violate(f"ready candidate of warp {c.warp_id} has is_mem="
+                        f"{c.is_mem} but its next instruction at pc index "
+                        f"{w.pc_index} disagrees")
+        for ready_at, wid in self._wake:
+            if ready_at != self.warps[wid].ready_at:
+                violate(f"wake heap holds warp {wid} at cycle {ready_at} but "
+                        f"its ready_at is {self.warps[wid].ready_at}")
+        tracked = sorted(ready + [wid for _, wid in self._wake])
         expected = [w.warp_id for w in self.warps if not (w.finished or w.outstanding)]
-        if pool != expected or any(
-                w is not self.warps[w.warp_id] for w in self._issuable):
-            violate(f"issuable pool {pool} differs from the warps that are "
-                    f"neither finished nor outstanding {expected}")
+        if tracked != expected:
+            violate(f"ready list {ready} and wake heap "
+                    f"{sorted(wid for _, wid in self._wake)} differ from the "
+                    f"warps that are neither finished nor outstanding {expected}")
         in_flight = self.mem_requests_issued - self.mem_requests_completed
         if outstanding != in_flight:
             violate(

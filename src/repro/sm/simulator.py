@@ -236,7 +236,11 @@ class GPUSimulator:
         """One iteration of the main loop: drain events, cycle SMs, advance."""
         now = self._now
         events = self._subsystem.events
-        events.run_until(now)
+        # Peek at the queue's heap so a tick with no event due skips the
+        # call; the test is cheaper than the call.
+        heap = events._heap
+        if heap and heap[0][0] <= now:
+            events.run_until(now)
         issued_any = False
         telemetry = self.telemetry
         # A sleeping SM's cycle() would only count one idle cycle (and,

@@ -322,6 +322,53 @@ class TestSL009SharedState:
         assert by_rule(result) == {"SL009": 1}
         assert "DebugProbe.last_seen" in result.findings[0].message
 
+    def test_callback_built_in_init_is_on_the_cycle_path(self, tmp_path):
+        # The core builds its completion callback once and hands it out on
+        # every cycle, so the callback's shared write is a cycle-path write.
+        target = tmp_path / "sm"
+        target.mkdir()
+        (target / "isolation.py").write_text(textwrap.dedent("""
+            class ResultHub:
+                __slots__ = ("total_done",)
+
+                def __init__(self):
+                    self.total_done = 0
+
+
+            class Done:
+                __slots__ = ("hub",)
+
+                def __init__(self, hub):
+                    self.hub = hub
+
+                def __call__(self, when):
+                    self.hub.total_done += 1
+
+
+            class IsoCore:
+                __slots__ = ("done", "queue")
+
+                def __init__(self, hub):
+                    self.done = Done(hub)
+                    self.queue = []
+
+                def cycle(self, now):
+                    self.queue.append(self.done)
+                    return True
+
+
+            class IsoMachine:
+                __slots__ = ("cores",)
+
+                def __init__(self, cfg, hub: ResultHub):
+                    self.cores = []
+                    for core_id in range(cfg.num_sms):
+                        self.cores.append(IsoCore(hub))
+        """))
+        result = run_lint([target])
+        assert by_rule(result) == {"SL009": 1}
+        assert "ResultHub.total_done" in result.findings[0].message
+
     def test_boundary_annotation_is_load_bearing(self, tmp_path):
         source = (BAD / "sm" / "isolation.py").read_text()
         target = tmp_path / "sm"

@@ -111,6 +111,15 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="format 2 unsupported"):
             GPUSimulator.restore(pickle.dumps(payload))
 
+    def test_format_3_rejected(self):
+        # A format-3 pickle holds the issuable pool, not the ready list and
+        # wake heap, and shares no per-warp completion callbacks.
+        sim = build("apres", mixed_kernel(6), make_config())
+        payload = pickle.loads(sim.snapshot())
+        payload["format"] = 3
+        with pytest.raises(CheckpointError, match="format 3 unsupported"):
+            GPUSimulator.restore(pickle.dumps(payload))
+
     def test_unpicklable_observer_raises_checkpoint_error(self):
         cfg = make_config()
         unpicklable = lambda access, hits: None  # noqa: E731 - the point

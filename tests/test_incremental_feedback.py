@@ -1,16 +1,18 @@
 """The incremental issue and feedback paths against the code they replaced.
 
-``SMCore`` keeps a pool of its issuable warps, the LLT keeps an
+``SMCore`` keeps a ready list and a wake heap of its issuable warps, the LLT keeps an
 ``llpc → warps`` index, LAWS moves groups in one pass and selects against
 a ready bitmap, and CCWS and GTO select from ascending candidates without
 building a set (CCWS also scores each warp once per ranking). The references below are the list-rebuilding and
 set-building versions; Hypothesis drives both sides with the same calls.
-The pool itself is checked end to end by ``tests/test_sm_sleep.py``, whose
-reference loop scans every warp.
+The ready list and wake heap are checked end to end by
+``tests/test_sm_sleep.py``, whose reference loop scans every warp.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from typing import Optional, Sequence
 
 import pytest
@@ -324,37 +326,71 @@ def apres_sim(num_sms: int = 1, waves: int = 1) -> GPUSimulator:
 
 
 def mid_kernel(sim: GPUSimulator) -> int:
-    """Step until some warp of SM 0 waits on memory while two are issuable."""
+    """Step until some warp of SM 0 waits on memory, two are in its ready
+    list and one waits in its wake heap."""
     sm = sim.sms[0]
     while not sim.step_until(sim.current_cycle + 1):
-        if any(w.outstanding for w in sm.warps) and len(sm._issuable) >= 2:
+        if any(w.outstanding for w in sm.warps) and len(sm._ready) >= 2 and sm._wake:
             return sim.current_cycle
-    raise AssertionError("no cycle with both outstanding and issuable warps")
+    raise AssertionError("no cycle with outstanding, ready and waking warps")
 
 
-def test_invariants_reject_an_unordered_issuable_pool():
+def test_invariants_reject_an_unordered_ready_list():
     sim = apres_sim()
     now = mid_kernel(sim)
     sm = sim.sms[0]
     sm.check_invariants(now)
-    sm._issuable.append(sm._issuable.pop(0))
-    with pytest.raises(InvariantError, match="not in ascending"):
+    sm._ready.append(sm._ready.pop(0))
+    with pytest.raises(InvariantError, match="not in strictly ascending"):
         sm.check_invariants(now)
 
 
-def test_invariants_reject_an_issuable_pool_missing_or_extra_warps():
+def test_invariants_reject_missing_or_extra_warps():
     sim = apres_sim()
     now = mid_kernel(sim)
     sm = sim.sms[0]
-    dropped = sm._issuable.pop()
-    with pytest.raises(InvariantError, match="differs from"):
+    # A warp lost from the ready list.
+    dropped = sm._ready.pop()
+    with pytest.raises(InvariantError, match="differ from"):
         sm.check_invariants(now)
-    sm._issuable.append(dropped)
+    sm._ready.append(dropped)
     sm.check_invariants(now)
+    # A warp lost from the wake heap.
+    entry = heapq.heappop(sm._wake)
+    with pytest.raises(InvariantError, match="differ from"):
+        sm.check_invariants(now)
+    heapq.heappush(sm._wake, entry)
+    sm.check_invariants(now)
+    # A warp waiting on memory in the ready list.
     outstanding = next(w for w in sm.warps if w.outstanding)
-    sm._issuable.append(outstanding)
-    sm._issuable.sort(key=lambda w: w.warp_id)
-    with pytest.raises(InvariantError, match="differs from"):
+    candidate = sm._candidates[outstanding.warp_id][sm._is_mem_at[outstanding.pc_index]]
+    bisect.insort(sm._ready, candidate)
+    with pytest.raises(InvariantError, match="differ from"):
+        sm.check_invariants(now)
+    sm._ready.remove(candidate)
+    sm.check_invariants(now)
+    # A ready warp in the wake heap as well.
+    twice = sm.warps[sm._ready[0].warp_id]
+    heapq.heappush(sm._wake, (twice.ready_at, twice.warp_id))
+    with pytest.raises(InvariantError, match="differ from"):
+        sm.check_invariants(now)
+
+
+def test_invariants_reject_a_stale_candidate_or_heap_key():
+    sim = apres_sim()
+    now = mid_kernel(sim)
+    sm = sim.sms[0]
+    # A candidate whose is_mem no longer matches its warp's next instruction.
+    wid, is_mem = sm._ready[0]
+    sm._ready[0] = sm._candidates[wid][not is_mem]
+    with pytest.raises(InvariantError, match="is_mem"):
+        sm.check_invariants(now)
+    sm._ready[0] = sm._candidates[wid][is_mem]
+    sm.check_invariants(now)
+    # A heap key that is not the warp's ready_at.
+    ready_at, wid = sm._wake[0]
+    sm._wake[0] = (ready_at - 1, wid)
+    with pytest.raises(InvariantError, match="wake heap holds"):
         sm.check_invariants(now)
 
 
@@ -372,7 +408,7 @@ def test_invariants_reject_a_stale_llt_index():
 
 
 # ----------------------------------------------------------------------
-# Checkpoints carry the pool, the LLT index and the done-SM prefix
+# Checkpoints carry the ready list, the LLT index and the done-SM prefix
 # ----------------------------------------------------------------------
 
 
@@ -391,7 +427,9 @@ def test_apres_snapshot_with_outstanding_and_finished_warps_resumes_bit_identica
         raise AssertionError("no cycle with both finished and outstanding warps")
     restored = GPUSimulator.restore(sim.snapshot())
     for old, new in zip(sim.sms, restored.sms):
-        assert [w.warp_id for w in new._issuable] == [w.warp_id for w in old._issuable]
-        assert all(w is new.warps[w.warp_id] for w in new._issuable)
+        assert new._ready == old._ready
+        assert new._wake == old._wake
+        assert all(done.sm is new and done.warp is w
+                   for done, w in zip(new._on_mem_done, new.warps))
     assert outcome(restored) == expected
     assert outcome(sim) == expected

@@ -2,7 +2,7 @@
 
 from collections import OrderedDict
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.mem.tags import LineMeta, TagArray
@@ -52,6 +52,16 @@ class TestProbeInsert:
         tags.probe(a, update_lru=False)
         victim = tags.insert(c, LineMeta())
         assert victim[0] == a
+
+    def test_prefetched_refill_of_a_resident_line_is_protected(self):
+        tags, _ = small_tags(sets=1, ways=2)
+        a, b, c = line(0, 0, 1), line(0, 1, 1), line(0, 2, 1)
+        tags.insert(a, LineMeta())
+        tags.insert(b, LineMeta())
+        tags.insert(a, LineMeta(prefetched=True))
+        tags.probe(b)  # a, unreferenced and prefetched, is now LRU
+        victim = tags.insert(c, LineMeta())
+        assert victim[0] == b
 
     def test_reinsert_resident_replaces_meta(self):
         tags, _ = small_tags()
@@ -146,3 +156,100 @@ def test_property_matches_reference_lru(accesses):
     for s in range(sets):
         resident = {a // 128 for a in tags.resident_lines() if (a // 128) % sets == s}
         assert resident == set(model[s])
+
+
+# ----------------------------------------------------------------------
+# Victim choice: the scan-free LRU path against the scan-every-time insert
+# ----------------------------------------------------------------------
+
+
+class ScanEveryTimeTags:
+    """``TagArray.insert`` as it was: every eviction from a full set counts
+    the set's unreferenced prefetched lines, prefetches or not."""
+
+    def __init__(self, num_sets: int, assoc: int):
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+
+    def _set(self, addr):
+        return self.sets[(addr // 128) % self.num_sets]
+
+    def probe(self, addr, update_lru=True):
+        s = self._set(addr)
+        meta = s.get(addr)
+        if meta is not None and update_lru:
+            s.move_to_end(addr)
+        return meta
+
+    def insert(self, addr, meta):
+        s = self._set(addr)
+        if addr in s:
+            s[addr] = meta
+            s.move_to_end(addr)
+            return None
+        victim = None
+        if len(s) >= self.assoc:
+            pending = sum(1 for m in s.values() if m.prefetched and not m.referenced)
+            victim_addr = None
+            if pending <= self.assoc // 2:
+                victim_addr = next(
+                    (a for a, m in s.items() if not (m.prefetched and not m.referenced)),
+                    None,
+                )
+            if victim_addr is None:
+                victim = s.popitem(last=False)
+            else:
+                victim = (victim_addr, s.pop(victim_addr))
+        s[addr] = meta
+        return victim
+
+    def invalidate(self, addr):
+        return self._set(addr).pop(addr, None)
+
+
+def tag_ops(prefetch: bool):
+    """One operation on a line among 24: insert (a prefetched line only when
+    ``prefetch``), probe with or without an LRU update, invalidate, or mark
+    a resident line referenced (what an L1 hit does)."""
+    kinds = ["insert", "insert", "insert", "probe", "peek", "invalidate", "reference"]
+    if prefetch:
+        kinds.append("prefetch")
+    return st.tuples(st.sampled_from(kinds), st.integers(min_value=0, max_value=23))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=8),
+    st.lists(tag_ops(prefetch=False), min_size=20, max_size=120),
+    st.lists(tag_ops(prefetch=True), max_size=120),
+)
+# The first prefetched line is the refill of a resident line, left at LRU.
+@example(1, 2, [("insert", 0), ("insert", 1)],
+         [("prefetch", 0), ("probe", 1), ("insert", 2)])
+def test_victims_match_the_scan_every_time_insert(num_sets, assoc, prefix, mixed):
+    """A long prefetch-free prefix, then demand and prefetched lines mixed:
+    same victims, same resident lines, same recency order in every set."""
+    tags, _ = small_tags(sets=num_sets, ways=assoc)
+    ref = ScanEveryTimeTags(num_sets, assoc)
+    for kind, tag in prefix + mixed:
+        addr = tag * 128
+        if kind in ("insert", "prefetch"):
+            prefetched = kind == "prefetch"
+            got = tags.insert(addr, LineMeta(filler_warp=tag, prefetched=prefetched))
+            want = ref.insert(addr, LineMeta(filler_warp=tag, prefetched=prefetched))
+            assert got == want
+        elif kind in ("probe", "peek"):
+            update = kind == "probe"
+            assert tags.probe(addr, update_lru=update) == ref.probe(addr, update_lru=update)
+        elif kind == "invalidate":
+            assert tags.invalidate(addr) == ref.invalidate(addr)
+        else:
+            metas = tags.probe(addr, update_lru=False), ref.probe(addr, update_lru=False)
+            assert (metas[0] is None) == (metas[1] is None)
+            if metas[0] is not None:
+                metas[0].referenced = metas[1].referenced = True
+        for index, s in enumerate(ref.sets):
+            got_set = tags._sets[index]
+            assert list(s.items()) == (list(got_set.items()) if got_set is not None else [])

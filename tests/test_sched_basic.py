@@ -130,3 +130,33 @@ class TestRegistry:
         assert set(SCHEDULERS) == {
             "lrr", "gto", "twolevel", "ccws", "mascar", "pa", "cawa"
         }
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS) + ["laws", "apres"])
+def test_select_leaves_the_live_ready_list_alone(name):
+    """The SM hands ``select`` its live ready list: every scheduler must
+    leave it unchanged and keep no reference to it."""
+    from conftest import make_config, mixed_kernel
+    from repro.experiments.configs import CONFIGS
+    from repro.sm.simulator import GPUSimulator
+
+    offered = []
+
+    def checked_engines():
+        scheduler, prefetcher = CONFIGS[name].build()
+        base = type(scheduler)
+
+        class Checked(base):
+            def select(self, candidates, cycle):
+                before = list(candidates)
+                chosen = base.select(self, candidates, cycle)
+                assert list(candidates) == before
+                assert all(value is not candidates for value in vars(self).values())
+                offered.append(len(before))
+                return chosen
+
+        scheduler.__class__ = Checked
+        return scheduler, prefetcher
+
+    GPUSimulator(mixed_kernel(6), make_config(), checked_engines).run()
+    assert max(offered) >= 2

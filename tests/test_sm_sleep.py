@@ -1,11 +1,12 @@
 """Sleeping SMs: the event-driven serial loop against an every-SM reference.
 
 ``GPUSimulator._tick`` skips an SM whose ``sleep_until`` lies in the
-future and only counts its idle cycle, and ``SMCore.cycle`` scans only its
-issuable-warp pool. ``ReferenceSimulator`` below keeps the loop that runs
-every SM on every tick with a scan over *all* its warps, and computes every
-SM's wake hint the same way; both must produce identical statistics,
-engine events and stall attribution.
+future and only counts its idle cycle, and ``SMCore.cycle`` offers the
+scheduler its ready list, filled from a wake heap. ``ReferenceSimulator``
+below keeps the loop that runs every SM on every tick with a scan over
+*all* its warps, and computes every SM's wake hint the same way; it reads
+warp state only, never the ready list or the heap. Both must produce
+identical statistics, engine events and stall attribution.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ GB = 1 << 30
 KB = 1 << 10
 MB = 1 << 20
 
-ENGINES = ("base", "gto", "ccws+str", "apres")
+ENGINES = ("base", "gto", "gto+sld", "ccws+str", "apres")
 SM_COUNTS = (1, 2, 15)
 L1_SIZES = (32 * KB, 32 * MB)
 
 
 def full_scan_cycle(sm: SMCore, now: int) -> bool:
-    """``SMCore.cycle`` as it was before the issuable pool: every warp is
+    """``SMCore.cycle`` as it was before the ready list: every warp is
     scanned and the finished and outstanding ones are skipped in place."""
     replay = sm._replay
     if replay:
@@ -83,8 +84,13 @@ def full_scan_wake_hint(sm: SMCore, now: int) -> Optional[int]:
     return min(hints, default=None)
 
 
+def full_scan_pending_work(sm: SMCore, now: int) -> bool:
+    return bool(sm._replay) or any(
+        not (w.finished or w.outstanding) and w.ready_at <= now for w in sm.warps)
+
+
 class ReferenceSimulator(GPUSimulator):
-    """The serial loop before sleeping SMs and the issuable pool: every SM
+    """The serial loop before sleeping SMs and the ready list: every SM
     cycles every tick over all of its warps."""
 
     def _tick(self) -> None:
@@ -197,6 +203,18 @@ def asleep_at(sim: GPUSimulator) -> int:
         if any(now < sm.sleep_until < SLEEP_FOREVER for sm in sim.sms):
             return now
     raise AssertionError("no SM ever slept")
+
+
+@pytest.mark.parametrize("engine", ("base", "apres"))
+def test_wake_queries_match_a_full_scan(engine):
+    # Between ticks, warps that are due may still wait in the wake heap:
+    # both queries must treat them as ready, as the full scan does.
+    sim = build(GPUSimulator, engine, 2, 32 * KB)
+    while not sim.step_until(sim.current_cycle + 1):
+        now = sim.current_cycle
+        for sm in sim.sms:
+            assert sm.next_wake_hint(now) == full_scan_wake_hint(sm, now)
+            assert sm.has_pending_work(now) == full_scan_pending_work(sm, now)
 
 
 @pytest.mark.parametrize("engine", ("base", "apres"))
