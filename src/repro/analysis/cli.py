@@ -3,7 +3,7 @@
 Exit codes follow the linter convention:
 
 * ``0`` — every linted file is clean (after suppressions);
-* ``1`` — at least one finding, or a failed isolation verification;
+* ``1`` — at least one finding;
 * ``2`` — the linter itself failed (unreadable path, unknown rule code,
   a rule crashed) via :class:`~repro.errors.LintError`.
 """
@@ -47,17 +47,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "view against the counters the simulator actually emits",
     )
     parser.add_argument(
-        "--isolation-report", default=None, metavar="FILE",
-        help="write the deterministic SM-isolation report (effect analysis "
-             "behind SL009) to FILE as JSON",
-    )
-    parser.add_argument(
-        "--verify-isolation", action="store_true",
-        help="run a 2-SM smoke simulation with write instrumentation and "
-             "reconcile the dynamic per-SM write sets against the static "
-             "isolation classification",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print run statistics (files, rules, findings, elapsed, parse "
              "cache) to stderr",
@@ -75,9 +64,7 @@ def _print_rule_listing() -> None:
         print(f"  {rule.code:<{width}}  {rule.title}")
     print("\nSuppress one line with '# simlint: ignore[CODE]' "
           "(or a bare '# simlint: ignore' for all rules); skip a whole file "
-          "with '# simlint: skip-file' in its first five lines. Declare a "
-          "class a legal cross-SM channel with '# simlint: boundary[reason]' "
-          "on its 'class' line (consumed by SL009's effect analysis).")
+          "with '# simlint: skip-file' in its first five lines.")
 
 
 def _print_text(result: LintResult) -> None:
@@ -97,14 +84,6 @@ def _print_text(result: LintResult) -> None:
               f"{check['smoke_point']['config']}, "
               f"{len(check['missing_at_runtime'])} missing at runtime, "
               f"{len(check['undeclared_at_runtime'])} undeclared in tree")
-    if result.isolation_check is not None:
-        check = result.isolation_check
-        status = "ok" if check["ok"] else "FAILED"
-        print(f"isolation check: {status} — {check['dynamic_writes']} dynamic "
-              f"writes over {check['num_sms']} SMs, "
-              f"{len(check['static_missed'])} unclassified, "
-              f"{len(check['illegal_dynamic'])} cross-SM outside the boundary, "
-              f"{len(check['stale_boundary'])} stale boundary class(es)")
 
 
 def _print_github(result: LintResult) -> None:
@@ -148,21 +127,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         from repro.analysis.runtime_check import verify_against_runtime
 
         verify_against_runtime(result)
-    if getattr(args, "isolation_report", None):
-        from repro.analysis.effects import isolation_report_for
-
-        report = isolation_report_for(result.project)
-        Path(args.isolation_report).write_text(
-            json.dumps(report, indent=2) + "\n"
-        )
-    isolation_failed = False
-    if getattr(args, "verify_isolation", False):
-        from repro.analysis.effects.sanitizer import verify_isolation
-
-        verify_isolation(result)
-        isolation_failed = not (
-            result.isolation_check is not None and result.isolation_check["ok"]
-        )
     if args.format == "json":
         print(json.dumps(result.as_json_dict(), indent=2, sort_keys=True))
     elif args.format == "github":
@@ -171,4 +135,4 @@ def cmd_lint(args: argparse.Namespace) -> int:
         _print_text(result)
     if getattr(args, "stats", False):
         _print_stats(result)
-    return 1 if (result.findings or isolation_failed) else 0
+    return 1 if result.findings else 0

@@ -33,10 +33,6 @@ HOT_PACKAGES = frozenset({"sm", "mem", "sched", "prefetch", "core", "integrity",
 
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*ignore(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?")
 _SKIP_FILE_RE = re.compile(r"#\s*simlint:\s*skip-file")
-#: ``# simlint: boundary[reason]`` on a class-definition line declares the
-#: class part of the allowed shared set (L2/DRAM boundary) for the effect
-#: analysis behind SL009 / ``--isolation-report``.
-_BOUNDARY_RE = re.compile(r"#\s*simlint:\s*boundary\[(?P<reason>[^\]]*)\]")
 
 
 @dataclass
@@ -57,8 +53,6 @@ class ModuleInfo:
     lines: tuple[str, ...] = ()
     #: Per-line suppressions: line number -> rule codes (empty set = all rules).
     suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: ``# simlint: boundary[reason]`` declarations: line number -> reason.
-    boundaries: dict[int, str] = field(default_factory=dict)
     #: Decorator line -> line of the decorated ``def``/``class``, so a
     #: suppression on the definition line covers decorator-anchored findings.
     decorator_owner: dict[int, int] = field(default_factory=dict)
@@ -79,11 +73,6 @@ class Project:
     """All modules of one lint run, for cross-module rules."""
 
     modules: list[ModuleInfo]
-    #: Memoised result of :func:`repro.analysis.effects.analyze_project`,
-    #: shared between SL009's project pass, ``--isolation-report`` and
-    #: ``--verify-isolation`` so the interprocedural analysis runs once.
-    #: Typed ``Any`` to keep the engine import-free of the effects package.
-    effects_cache: Optional[Any] = field(default=None, repr=False, compare=False)
 
     def by_directory(self) -> dict[Path, list[ModuleInfo]]:
         """Group modules by parent directory (≈ by package)."""
@@ -152,8 +141,6 @@ class LintResult:
     project: Project
     #: Populated by the CLI when ``--verify-against-runtime`` ran.
     runtime_check: Optional[dict[str, Any]] = None
-    #: Populated by the CLI when ``--verify-isolation`` ran.
-    isolation_check: Optional[dict[str, Any]] = None
     #: Run statistics (files / rules / findings / elapsed / parse cache),
     #: printed by ``--stats``; not part of the stable JSON schema.
     run_stats: dict[str, Any] = field(default_factory=dict, compare=False)
@@ -178,7 +165,6 @@ class LintResult:
             "findings": [f.as_dict() for f in self.findings],
             "summary": {"total": len(self.findings), "by_rule": self.by_rule()},
             "runtime_check": self.runtime_check,
-            "isolation_check": self.isolation_check,
         }
 
 
@@ -203,18 +189,6 @@ def parse_suppressions(lines: Sequence[str]) -> dict[int, frozenset[str]]:
                 c.strip().upper() for c in codes.split(",") if c.strip()
             )
     return suppressions
-
-
-def parse_boundaries(lines: Sequence[str]) -> dict[int, str]:
-    """Map line numbers carrying ``# simlint: boundary[reason]`` to the reason."""
-    boundaries: dict[int, str] = {}
-    for lineno, text in enumerate(lines, start=1):
-        if "simlint" not in text:
-            continue
-        match = _BOUNDARY_RE.search(text)
-        if match is not None:
-            boundaries[lineno] = match.group("reason").strip()
-    return boundaries
 
 
 def _decorator_owners(tree: ast.Module) -> dict[int, int]:
@@ -276,9 +250,8 @@ def _display_path(path: Path) -> str:
 
 
 #: Process-wide parse cache: resolved path -> ((mtime_ns, size), entry).
-#: Repeated lint runs in one process (the CLI runs the engine once for the
-#: rules, again for ``--isolation-report``, and tests call ``run_lint``
-#: dozens of times) parse each unchanged file exactly once.
+#: Repeated lint runs in one process (tests call ``run_lint`` dozens of
+#: times) parse each unchanged file exactly once.
 _MODULE_CACHE: dict[Path, tuple[tuple[int, int], "ModuleInfo | Finding"]] = {}
 
 
@@ -306,7 +279,6 @@ def _load_uncached(path: Path, display: str) -> "ModuleInfo | Finding":
         tree=tree,
         lines=lines,
         suppressions=parse_suppressions(lines),
-        boundaries=parse_boundaries(lines),
         decorator_owner=_decorator_owners(tree),
     )
 
@@ -343,7 +315,6 @@ def load_module(path: Path, cache_stats: Optional[dict[str, int]] = None) -> "Mo
             tree=entry.tree,
             lines=entry.lines,
             suppressions=entry.suppressions,
-            boundaries=entry.boundaries,
             decorator_owner=entry.decorator_owner,
         )
     if cache_stats is not None:

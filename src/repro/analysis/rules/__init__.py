@@ -1,4 +1,4 @@
-"""Built-in simlint rules (SL001–SL011).
+"""Built-in simlint rules (SL001–SL011; the code SL009 is retired).
 
 Each rule lives in its own module and registers here. ``build_all_rules``
 returns fresh instances for one engine run — rules carry per-run state
@@ -20,7 +20,6 @@ from repro.analysis.rules.paper_golden import PaperGoldenRule
 from repro.analysis.rules.picklability import PicklabilityRule
 from repro.analysis.rules.registries import RegistryCompletenessRule
 from repro.analysis.rules.robust_io import RobustIORule
-from repro.analysis.rules.shared_state import SharedStateRule
 
 #: Every registered rule class, in code order.
 ALL_RULES: tuple[type[Rule], ...] = (
@@ -32,7 +31,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     PaperGoldenRule,
     HotPathSlotsRule,
     RobustIORule,
-    SharedStateRule,
     GlobalStateRule,
     MetricNamesRule,
 )

@@ -7,9 +7,8 @@ when the emit site actually executes, which for rare paths (worker
 quarantine, degradation) may be never in CI. This rule is the static
 twin, with the same philosophy as SL003's counter pass:
 
-* every ``<registry>.counter("...")`` / ``.gauge("...")`` /
-  ``.histogram("...")`` call with a string-literal name must use a name
-  declared in ``METRICS``;
+* every ``<registry>.counter("...")`` / ``.gauge("...")`` call with a
+  string-literal name must use a name declared in ``METRICS``;
 * the call's method must match the declared type — ``.counter()`` on a
   name declared as a gauge would raise :class:`TypeError` at runtime;
 * once the linted tree contains at least one emit site, every declared
@@ -36,7 +35,7 @@ _REGISTRY_NAME = "METRICS"
 
 #: Registry methods whose first argument is a declared metric name,
 #: mapped to the metric type they require.
-_EMIT_METHODS = frozenset({"counter", "gauge", "histogram"})
+_EMIT_METHODS = frozenset({"counter", "gauge"})
 
 
 @dataclass
@@ -51,7 +50,7 @@ class _MetricDeclaration:
 
 @dataclass
 class _EmitSite:
-    """One ``.counter("...")``/``.gauge``/``.histogram`` call site."""
+    """One ``.counter("...")``/``.gauge("...")`` call site."""
 
     name: str
     method: str

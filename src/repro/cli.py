@@ -57,9 +57,9 @@ with capped jittered backoff, poisoned points are quarantined after N
 dispatches, and the pool degrades to serial if workers keep dying.
 
 ``run``, ``sweep`` and ``figure`` accept ``--metrics-out FILE`` to dump
-the process-wide operational metrics registry (counters, gauges,
-histograms — see :mod:`repro.telemetry.metrics`) as JSON, plus a
-Prometheus textfile next to it (``FILE.prom``).
+the process-wide operational metrics registry (counters and gauges —
+see :mod:`repro.telemetry.metrics`) as JSON, plus a Prometheus textfile
+next to it (``FILE.prom``).
 
 ``run``, ``sweep``, ``figure``, ``table`` and ``scorecard`` ingest their
 results into the registry (``bench_results/registry`` by default,

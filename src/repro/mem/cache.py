@@ -22,19 +22,9 @@ from repro.mem.tags import LineMeta, TagArray
 from repro.stats.counters import CacheStats
 from repro.telemetry.events import L1AccessEvent, L1EvictEvent, L1FillEvent, PrefetchDropEvent
 
-class MissForwarder:
-    """L1 miss-path interface: ``(line_addr, now, is_prefetch) -> fill_cycle``.
+#: ``fn(line_addr, now, is_prefetch) -> fill_cycle`` — the L1 miss path.
+MissPath = Callable[[int, int, bool], int]
 
-    A real base class rather than a ``Callable`` alias so the effect
-    analysis (:mod:`repro.analysis.effects`) can resolve the forwarder
-    field to one named type and fan virtual dispatch over its
-    implementations.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, line_addr: int, now: int, is_prefetch: bool) -> int:
-        raise NotImplementedError
 #: ``fn(filler_warp, line_addr)`` — eviction feedback (CCWS victim tags).
 EvictionListener = Callable[[int, int], None]
 
@@ -68,7 +58,7 @@ class L1Cache:
         self,
         config: CacheConfig,
         stats: CacheStats,
-        forward_miss: MissForwarder,
+        forward_miss: MissPath,
     ):
         self._config = config
         self.stats = stats

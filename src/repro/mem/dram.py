@@ -13,7 +13,7 @@ from repro.stats.counters import MemoryStats
 from repro.telemetry.events import DRAMRequestEvent
 
 
-class DRAMModel:  # simlint: boundary[shared DRAM model behind the L2 boundary]
+class DRAMModel:
     """Latency + per-partition service-rate model of device memory."""
 
     __slots__ = ("_config", "_line_size", "_stats", "_partition_free_at",

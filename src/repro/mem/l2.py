@@ -19,7 +19,7 @@ from repro.stats.counters import MemoryStats
 from repro.telemetry.events import L2AccessEvent
 
 
-class L2Cache:  # simlint: boundary[shared L2: cross-SM by design, serialized at the subsystem tick]
+class L2Cache:
     """Single shared L2 in front of DRAM."""
 
     __slots__ = ("_config", "_dram", "_stats", "_tags", "_pending",

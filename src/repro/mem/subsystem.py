@@ -17,13 +17,13 @@ from typing import Callable
 
 from repro.config import GPUConfig
 from repro.errors import InvariantError
-from repro.mem.cache import L1Cache, MissForwarder
+from repro.mem.cache import L1Cache
 from repro.mem.dram import DRAMModel
 from repro.mem.l2 import L2Cache
 from repro.stats.counters import SimStats
 
 
-class EventQueue:  # simlint: boundary[global event queue; drained serially each cycle]
+class EventQueue:
     """Min-heap of ``(cycle, seq, callback)`` with FIFO tie-breaking."""
 
     __slots__ = ("_heap", "_seq", "processed")
@@ -74,8 +74,8 @@ class _L1FillEvent:
         self.l1.fill(self.line_addr, when)
 
 
-class _L1MissForwarder(MissForwarder):
-    """Per-SM miss path into the shared L2 (picklable MissForwarder)."""
+class _L1MissForwarder:
+    """Per-SM miss path into the shared L2 (a picklable callable)."""
 
     __slots__ = ("subsystem", "sm_id")
 
@@ -87,7 +87,7 @@ class _L1MissForwarder(MissForwarder):
         return self.subsystem.forward_miss(self.sm_id, line_addr, now)
 
 
-class MemorySubsystem:  # simlint: boundary[shared L2/DRAM front-end: the legal cross-SM channel]
+class MemorySubsystem:
     """L1s (one per SM) + shared L2 + DRAM + the global event queue."""
 
     __slots__ = ("_config", "_stats", "events", "dram", "l2", "l1s")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class CacheStats:  # simlint: boundary[aggregated counters: additive, tolerant of ordering]
+class CacheStats:
     """L1 data-cache counters (demand accesses unless noted)."""
 
     accesses: int = 0
@@ -79,7 +79,7 @@ class CacheStats:  # simlint: boundary[aggregated counters: additive, tolerant o
 
 
 @dataclass
-class MemoryStats:  # simlint: boundary[aggregated counters: additive, tolerant of ordering]
+class MemoryStats:
     """Interconnect / DRAM counters."""
 
     #: Sum and count of demand load latencies (issue to data ready), hits included.
@@ -107,7 +107,7 @@ class MemoryStats:  # simlint: boundary[aggregated counters: additive, tolerant 
 
 
 @dataclass
-class SimStats:  # simlint: boundary[aggregated counters: additive, tolerant of ordering]
+class SimStats:
     """Top-level statistics for one simulation run."""
 
     cycles: int = 0

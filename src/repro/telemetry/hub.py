@@ -56,7 +56,7 @@ class SMTelemetry:
         self.stalls.on_throttle(self.sm_id, now)
 
 
-class TelemetryHub:  # simlint: boundary[epoch-serialized telemetry fan-in]
+class TelemetryHub:
     """Aggregates the stall engine, interval collector, and sinks."""
 
     def __init__(self, window: int = DEFAULT_WINDOW, trace: bool = False):

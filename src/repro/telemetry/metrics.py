@@ -1,4 +1,4 @@
-"""Run-wide metrics registry: typed counters, gauges and histograms.
+"""Run-wide metrics registry: typed counters and gauges.
 
 Where the stall engine and interval collector describe *one simulated
 kernel*, this registry describes *the harness itself*: how often pool
@@ -7,9 +7,8 @@ metric has a stable dotted name declared in :data:`METRICS` — the single
 source of truth, mirroring what
 :data:`repro.telemetry.events.EVENT_TYPES` is to telemetry events.
 simlint's SL011 pass cross-checks every ``counter(...)`` /
-``gauge(...)`` / ``histogram(...)`` call site in the tree against this
-dict, so a metric cannot be emitted unregistered or declared and never
-emitted.
+``gauge(...)`` call site in the tree against this dict, so a metric
+cannot be emitted unregistered or declared and never emitted.
 
 Export is pull-style: :func:`write_metrics` renders the process-wide
 registry as canonical JSON plus a Prometheus text-format twin
@@ -24,8 +23,8 @@ import os
 from typing import Any, Optional, Union
 
 #: Central declaration of every metric the harness may emit:
-#: dotted name -> (type, help text). Types are ``counter`` (monotonic),
-#: ``gauge`` (set-to-current) and ``histogram`` (observation summary).
+#: dotted name -> (type, help text). Types are ``counter`` (monotonic)
+#: and ``gauge`` (set-to-current).
 #: simlint SL011 keeps emit sites and this dict in lockstep.
 METRICS: dict[str, tuple[str, str]] = {
     "pool.worker.requeues": (
@@ -73,38 +72,12 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Observation summary: count / sum / min / max.
-
-    Full bucketing is deliberately out of scope — the consumers here
-    (bench tables, the Prometheus textfile) need the summary moments,
-    and a bucket scheme would be a schema commitment with no reader.
-    """
-
-    __slots__ = ("name", "count", "sum", "min", "max")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.sum = 0
-        self.min: Optional[Union[int, float]] = None
-        self.max: Optional[Union[int, float]] = None
-
-    def observe(self, value: Union[int, float]) -> None:
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-
 class MetricsRegistry:
     """One process's metric instruments, resolved by declared dotted name.
 
-    ``counter``/``gauge``/``histogram`` lazily create the instrument on
-    first use and reject names missing from :data:`METRICS` (or declared
-    with a different type) — the runtime twin of simlint SL011.
+    ``counter``/``gauge`` lazily create the instrument on first use and
+    reject names missing from :data:`METRICS` (or declared with a
+    different type) — the runtime twin of simlint SL011.
     """
 
     def __init__(self) -> None:
@@ -134,9 +107,6 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, "gauge", Gauge)
 
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, "histogram", Histogram)
-
     def reset(self) -> None:
         """Drop every instrument (tests; a fresh service epoch)."""
         self._instruments.clear()
@@ -151,17 +121,8 @@ class MetricsRegistry:
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
             metric_type, help_text = METRICS[name]
-            entry: dict[str, Any] = {"type": metric_type, "help": help_text}
-            if isinstance(instrument, Histogram):
-                entry.update(
-                    count=instrument.count,
-                    sum=instrument.sum,
-                    min=instrument.min,
-                    max=instrument.max,
-                )
-            else:
-                entry["value"] = instrument.value
-            out[name] = entry
+            out[name] = {"type": metric_type, "help": help_text,
+                         "value": instrument.value}
         return {
             "schema": "repro-telemetry-metrics",
             "schema_version": 1,
@@ -176,14 +137,8 @@ class MetricsRegistry:
             metric_type, help_text = METRICS[name]
             flat = name.replace(".", "_")
             lines.append(f"# HELP {flat} {help_text}")
-            if isinstance(instrument, Histogram):
-                # Render as Prometheus summary-ish gauges: _count/_sum.
-                lines.append(f"# TYPE {flat} summary")
-                lines.append(f"{flat}_count {instrument.count}")
-                lines.append(f"{flat}_sum {instrument.sum}")
-            else:
-                lines.append(f"# TYPE {flat} {metric_type}")
-                lines.append(f"{flat} {instrument.value}")
+            lines.append(f"# TYPE {flat} {metric_type}")
+            lines.append(f"{flat} {instrument.value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 

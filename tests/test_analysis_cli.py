@@ -84,7 +84,7 @@ class TestJsonOutput:
         )
         assert payload["summary"]["by_rule"] == {
             "SL001": 8, "SL002": 3, "SL003": 7, "SL004": 5, "SL005": 3,
-            "SL006": 6, "SL007": 3, "SL008": 5, "SL009": 3, "SL010": 3,
+            "SL006": 6, "SL007": 3, "SL008": 5, "SL010": 3,
             "SL011": 3,
         }
         assert payload["files_scanned"] >= 8
@@ -174,29 +174,3 @@ class TestGithubFormat:
         assert proc.returncode == 0
         assert "::error" not in proc.stdout
         assert "clean" in proc.stdout
-
-
-class TestIsolationReport:
-    def test_two_runs_are_byte_identical(self, tmp_path):
-        first = tmp_path / "first.json"
-        second = tmp_path / "second.json"
-        for target in (first, second):
-            proc = run_cli(
-                str(FIXTURES / "good" / "sm" / "isolation.py"),
-                "--isolation-report", str(target),
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_report_content(self, tmp_path):
-        target = tmp_path / "isolation.json"
-        proc = run_cli(
-            str(FIXTURES / "good" / "sm" / "isolation.py"),
-            "--isolation-report", str(target),
-        )
-        assert proc.returncode == 0
-        report = json.loads(target.read_text())
-        assert report["tool"] == "simlint-isolation"
-        assert report["schema_version"] == 1
-        assert report["roots"] == ["IsoCore.cycle"]
-        assert report["summary"]["unwaived_violations"] == 0

@@ -291,97 +291,6 @@ class TestSL008RobustIO:
         assert run_lint([GOOD / "experiments" / "robust_io.py"]).clean
 
 
-class TestSL009SharedState:
-    def test_bad_fixture_fires(self):
-        result = run_lint([BAD / "sm" / "isolation.py"])
-        assert by_rule(result) == {"SL009": 3}
-        messages = " | ".join(f.message for f in result.findings)
-        assert "ResultHub.total_issued" in messages
-        assert "ResultHub.last_core" in messages
-        assert "ResultHub.pending" in messages
-
-    def test_findings_anchor_at_write_sites(self):
-        result = run_lint([BAD / "sm" / "isolation.py"])
-        source = (BAD / "sm" / "isolation.py").read_text().splitlines()
-        for finding in result.findings:
-            assert "self.hub." in source[finding.line - 1]
-
-    def test_good_fixture_clean_via_boundary_and_waiver(self):
-        assert run_lint([GOOD / "sm" / "isolation.py"]).clean
-
-    def test_waiver_is_load_bearing(self, tmp_path):
-        # Strip the ignore comment from the good twin: the waived write
-        # on the non-boundary DebugProbe must resurface as SL009.
-        source = (GOOD / "sm" / "isolation.py").read_text()
-        target = tmp_path / "sm"
-        target.mkdir()
-        (target / "isolation.py").write_text(
-            source.replace("  # simlint: ignore[SL009]", "")
-        )
-        result = run_lint([target])
-        assert by_rule(result) == {"SL009": 1}
-        assert "DebugProbe.last_seen" in result.findings[0].message
-
-    def test_callback_built_in_init_is_on_the_cycle_path(self, tmp_path):
-        # The core builds its completion callback once and hands it out on
-        # every cycle, so the callback's shared write is a cycle-path write.
-        target = tmp_path / "sm"
-        target.mkdir()
-        (target / "isolation.py").write_text(textwrap.dedent("""
-            class ResultHub:
-                __slots__ = ("total_done",)
-
-                def __init__(self):
-                    self.total_done = 0
-
-
-            class Done:
-                __slots__ = ("hub",)
-
-                def __init__(self, hub):
-                    self.hub = hub
-
-                def __call__(self, when):
-                    self.hub.total_done += 1
-
-
-            class IsoCore:
-                __slots__ = ("done", "queue")
-
-                def __init__(self, hub):
-                    self.done = Done(hub)
-                    self.queue = []
-
-                def cycle(self, now):
-                    self.queue.append(self.done)
-                    return True
-
-
-            class IsoMachine:
-                __slots__ = ("cores",)
-
-                def __init__(self, cfg, hub: ResultHub):
-                    self.cores = []
-                    for core_id in range(cfg.num_sms):
-                        self.cores.append(IsoCore(hub))
-        """))
-        result = run_lint([target])
-        assert by_rule(result) == {"SL009": 1}
-        assert "ResultHub.total_done" in result.findings[0].message
-
-    def test_boundary_annotation_is_load_bearing(self, tmp_path):
-        source = (BAD / "sm" / "isolation.py").read_text()
-        target = tmp_path / "sm"
-        target.mkdir()
-        (target / "isolation.py").write_text(
-            source.replace(
-                "class ResultHub:",
-                "class ResultHub:  # simlint: boundary[test channel]",
-            )
-        )
-        assert run_lint([target]).clean
-
-
 class TestSL010GlobalState:
     def test_bad_fixture_fires(self):
         result = run_lint([BAD / "sched" / "global_state.py"])
@@ -417,6 +326,65 @@ class TestSL010GlobalState:
         result = run_lint([target])
         assert by_rule(result) == {"SL010": 1}
         assert "registry.TABLE" in result.findings[0].message
+
+    def test_container_mutator_calls_count(self, tmp_path):
+        target = tmp_path / "sm"
+        target.mkdir()
+        (target / "g.py").write_text(textwrap.dedent("""\
+            _SEEN = []
+            _TABLE = {}
+
+
+            def note(w):
+                _SEEN.append(w)
+
+
+            def reset():
+                _TABLE.clear()
+
+
+            def put(k, v):
+                _TABLE[k] = v
+        """))
+        result = run_lint([target])
+        assert by_rule(result) == {"SL010": 3}
+        assert [f.line for f in result.findings] == [6, 10, 14]
+
+    def test_heapq_aliases_and_global_counters_count_but_locals_do_not(
+            self, tmp_path):
+        target = tmp_path / "mem"
+        target.mkdir()
+        (target / "h.py").write_text(textwrap.dedent("""\
+            import heapq
+
+            _HEAP = []
+            _ROWS = {}
+            _TICKS = 0
+
+
+            def push(x):
+                heapq.heappush(_HEAP, x)
+
+
+            def grow(k, v):
+                row = _ROWS[k]
+                row.append(v)
+
+
+            def tick():
+                global _TICKS
+                _TICKS += 1
+
+
+            def shadowed(x):
+                _HEAP = []
+                _HEAP.append(x)
+                heapq.heapify(_HEAP)
+                return _HEAP, _ROWS.get(x), sorted(_ROWS)
+        """))
+        result = run_lint([target])
+        assert by_rule(result) == {"SL010": 3}
+        assert [f.line for f in result.findings] == [9, 14, 19]
 
 
 class TestSL011MetricNames:
@@ -457,142 +425,6 @@ class TestSL011MetricNames:
         assert result.clean, [f.render() for f in result.findings]
 
 
-class TestIsolationReport:
-    def test_good_tree_report_shape(self):
-        from repro.analysis.effects import isolation_report_for
-
-        result = run_lint([GOOD / "sm" / "isolation.py"])
-        report = isolation_report_for(result.project)
-        assert report["tool"] == "simlint-isolation"
-        assert report["sm_classes"] == ["IsoCore"]
-        assert report["roots"] == ["IsoCore.cycle"]
-        assert report["ownership"]["ResultHub"] == "boundary"
-        assert report["ownership"]["IsoCore"] == "per_sm"
-        boundary = {entry["class"] for entry in report["boundary"]}
-        assert boundary == {"ResultHub"}
-        assert report["boundary"][0]["statically_exercised"] is True
-        assert report["summary"]["unwaived_violations"] == 0
-        # The waived DebugProbe write is still visible as a violation row.
-        waived = [v for v in report["violations"] if v["waived"]]
-        assert len(waived) == 1
-        assert waived[0]["target"] == "DebugProbe.last_seen"
-
-    def test_report_is_memoised_on_the_project(self):
-        from repro.analysis.effects import analyze_project
-
-        result = run_lint([GOOD / "sm" / "isolation.py"])
-        assert analyze_project(result.project) is analyze_project(result.project)
-
-
-class TestIsolationReconcile:
-    """The sanitizer's reconciliation logic over synthetic write sets."""
-
-    @staticmethod
-    def _effects():
-        result = run_lint([GOOD / "sm" / "isolation.py"])
-        from repro.analysis.effects import analyze_project
-
-        return analyze_project(result.project)
-
-    @staticmethod
-    def _recorder():
-        from repro.integrity.isolation import WriteRecorder
-
-        return WriteRecorder()
-
-    def test_clean_recorder_is_ok(self):
-        from repro.analysis.effects.sanitizer import reconcile
-
-        check = reconcile(self._recorder(), self._effects(), {"ResultHub"})
-        assert check["ok"] is True
-        assert check["stale_boundary"] == ["ResultHub"]
-
-    def test_multi_sm_writes_to_boundary_pass(self):
-        from repro.analysis.effects.sanitizer import reconcile
-
-        effects = self._effects()
-        recorder = self._recorder()
-        hub = type("ResultHub", (), {})()
-        for ctx in ("sm0", "sm1"):
-            recorder.context = ctx
-            recorder.record(hub, "total_issued")
-        check = reconcile(recorder, effects, {"ResultHub"})
-        assert check["ok"] is True
-        assert check["multi_sm_objects"] == 1
-        assert check["stale_boundary"] == []
-
-    def test_multi_sm_writes_outside_boundary_fail(self):
-        from repro.analysis.effects.sanitizer import reconcile
-
-        effects = self._effects()
-        recorder = self._recorder()
-        core = type("IsoCore", (), {})()
-        for ctx in ("sm0", "sm1"):
-            recorder.context = ctx
-            recorder.record(core, "issued")
-        check = reconcile(recorder, effects, {"ResultHub"})
-        assert check["ok"] is False
-        assert check["illegal_dynamic"] == ["IsoCore.issued written by sm0, sm1"]
-
-    def test_statically_unknown_write_fails(self):
-        from repro.analysis.effects.sanitizer import reconcile
-
-        effects = self._effects()
-        recorder = self._recorder()
-        ghost = type("Ghost", (), {})()
-        recorder.context = "sm0"
-        recorder.record(ghost, "counter")
-        check = reconcile(recorder, effects, {"ResultHub"})
-        assert check["ok"] is False
-        assert check["static_missed"] == ["Ghost.counter"]
-
-
-class TestWriteRecorder:
-    def test_instrumentation_attributes_and_restores(self):
-        from repro.integrity.isolation import WriteRecorder
-
-        class Probe:
-            __slots__ = ("value",)
-
-        original_setattr = Probe.__setattr__
-        recorder = WriteRecorder()
-        recorder.install([Probe])
-        try:
-            probe = Probe()
-            recorder.context = "sm3"
-            probe.value = 7
-        finally:
-            recorder.uninstall()
-        assert probe.value == 7
-        assert recorder.writes[("Probe", "value")] == {"sm3"}
-        assert Probe.__setattr__ is original_setattr
-
-    def test_creation_context_replay(self):
-        from repro.integrity.isolation import WriteRecorder
-
-        recorder = WriteRecorder()
-
-        class Event:
-            __slots__ = ("payload", "seen")
-
-            def __init__(self):
-                self.payload = 1
-
-            def __call__(self):
-                self.seen = recorder.context
-
-        recorder.install([Event])
-        try:
-            recorder.context = "sm1"
-            event = Event()  # created (first written) under sm1
-            recorder.context = "epoch"
-            event()  # executed from the event drain
-        finally:
-            recorder.uninstall()
-        assert event.seen == "sm1"
-        assert recorder.writes[("Event", "seen")] == {"sm1"}
-
-
 class TestFixtureTrees:
     def test_bad_tree_totals(self):
         result = run_lint([BAD])
@@ -605,7 +437,6 @@ class TestFixtureTrees:
             "SL006": 6,
             "SL007": 3,
             "SL008": 5,
-            "SL009": 3,
             "SL010": 3,
             "SL011": 3,
         }
@@ -702,13 +533,17 @@ class TestEngineBehaviour:
 
     def test_json_dict_schema(self):
         payload = run_lint([BAD / "config_mutation.py"]).as_json_dict()
+        assert set(payload) == {
+            "tool", "schema_version", "files_scanned", "rules", "findings",
+            "summary", "runtime_check",
+        }
         assert payload["tool"] == "simlint"
         assert payload["schema_version"] == 1
         assert payload["summary"]["total"] == 3
         assert payload["summary"]["by_rule"] == {"SL005": 3}
         assert set(payload["rules"]) == {
             "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
-            "SL008", "SL009", "SL010", "SL011",
+            "SL008", "SL010", "SL011",
         }
         for finding in payload["findings"]:
             assert set(finding) == {"path", "line", "col", "rule", "message"}

@@ -24,17 +24,6 @@ from repro.telemetry.metrics import (
     write_metrics,
 )
 
-#: No harness metric is a histogram, so the histogram checks declare one.
-TEST_HISTOGRAM = "test.span_cycles"
-
-
-@pytest.fixture
-def test_histogram(monkeypatch):
-    monkeypatch.setitem(METRICS, TEST_HISTOGRAM,
-                        ("histogram", "test-only observation summary"))
-    return TEST_HISTOGRAM
-
-
 class TestMetricsRegistry:
     def test_undeclared_name_is_rejected_with_a_pointer_to_sl011(self):
         registry = MetricsRegistry()
@@ -60,15 +49,8 @@ class TestMetricsRegistry:
         assert registry.counter("registry.cache.hits") is \
             registry.counter("registry.cache.hits")
 
-    def test_histogram_summarises_observations(self, test_histogram):
-        registry = MetricsRegistry()
-        hist = registry.histogram(test_histogram)
-        for value in (10, 2, 7):
-            hist.observe(value)
-        assert (hist.count, hist.sum, hist.min, hist.max) == (3, 19, 2, 10)
-
     def test_every_declared_metric_has_a_known_type(self):
-        assert all(t in ("counter", "gauge", "histogram")
+        assert all(t in ("counter", "gauge")
                    for t, _help in METRICS.values())
 
     def test_get_registry_is_process_wide(self):
@@ -77,11 +59,10 @@ class TestMetricsRegistry:
 
 class TestMetricsExport:
     @pytest.fixture
-    def touched(self, test_histogram):
+    def touched(self):
         registry = MetricsRegistry()
         registry.counter("registry.cache.hits").inc(5)
         registry.gauge("pool.workers.alive").set(2)
-        registry.histogram(test_histogram).observe(64)
         return registry
 
     def test_json_export_validates_and_is_deterministic(self, tmp_path,
@@ -94,7 +75,7 @@ class TestMetricsExport:
         assert validate_metrics_export(payload) == []
         assert payload["schema"] == "repro-telemetry-metrics"
         assert payload["metrics"]["registry.cache.hits"]["value"] == 5
-        assert payload["metrics"][TEST_HISTOGRAM]["count"] == 1
+        assert payload["metrics"]["pool.workers.alive"]["value"] == 2
         first = out.read_bytes()
         write_metrics(str(out), registry)
         assert out.read_bytes() == first  # atomic rewrite, same bytes
@@ -108,8 +89,7 @@ class TestMetricsExport:
         assert "# TYPE registry_cache_hits counter" in text
         assert "registry_cache_hits 5" in text
         assert "# TYPE pool_workers_alive gauge" in text
-        assert "test_span_cycles_count 1" in text
-        assert "test_span_cycles_sum 64" in text
+        assert "pool_workers_alive 2" in text
 
     def test_validator_flags_undeclared_and_mistyped_entries(self):
         payload = {
@@ -118,10 +98,12 @@ class TestMetricsExport:
             "metrics": {
                 "not.a.metric": {"type": "counter", "value": 1},
                 "pool.workers.alive": {"type": "counter", "value": 1},
+                "registry.cache.hits": {"type": "histogram", "count": 1,
+                                        "sum": 5, "min": 5, "max": 5},
             },
         }
         problems = validate_metrics_export(payload)
-        assert len(problems) == 2
+        assert len(problems) == 3
 
 
 class TestFlightRecorder:
