@@ -54,6 +54,8 @@ _MUTABLE_FACTORIES = frozenset(
 )
 
 _FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+#: Names an enclosing function binds -> the module-level name each aliases.
+_Scope = dict[str, Optional[str]]
 _NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -97,15 +99,13 @@ def _from_imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
     return imports
 
 
-def _functions(tree: ast.Module) -> Iterator[tuple[str, _FuncDef]]:
-    """Module-level functions and the methods of module-level classes."""
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield stmt.name, stmt
-        elif isinstance(stmt, ast.ClassDef):
-            for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{stmt.name}.{item.name}", item
+def _defs(nodes: list[ast.AST], prefix: str) -> Iterator[tuple[str, _FuncDef]]:
+    """Functions among ``nodes`` and the methods of classes among them."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from _defs(node.body, f"{prefix}{node.name}.")
 
 
 def _scope_nodes(func: _FuncDef) -> list[ast.AST]:
@@ -120,23 +120,31 @@ def _scope_nodes(func: _FuncDef) -> list[ast.AST]:
     return nodes
 
 
-def _global_writes(func: _FuncDef) -> Iterator[tuple[str, bool, ast.AST]]:
-    """``(name, rebind, node)`` for each write through a non-local name.
+def _global_writes(func: _FuncDef, nodes: list[ast.AST], outer: _Scope
+                   ) -> tuple[list[tuple[str, bool, ast.AST]], _Scope]:
+    """``(name, rebind, node)`` for each write through a non-local name,
+    plus the scope a def nested in ``func`` sees.
 
-    ``rebind`` is true when a ``global`` name is itself assigned, augmented
-    or deleted, and false for a mutation of the object the name holds. A
-    local assigned from such a name, or looping over it, aliases it:
-    ``row = _TABLE[k]; row.append(v)`` writes ``_TABLE``.
+    ``nodes`` is ``_scope_nodes(func)``. ``rebind`` is true when a
+    ``global`` name is itself assigned, augmented or deleted, and false
+    for a mutation of the object the name holds. A local assigned from
+    such a name, or looping over it, aliases it: ``row = _TABLE[k];
+    row.append(v)`` writes ``_TABLE``. ``outer`` maps each name an
+    enclosing function binds to the module-level name it aliases (None
+    for a plain local), so a closure writing through its enclosing
+    function's local is not a global write, but one writing through an
+    alias of a global is.
     """
-    nodes = _scope_nodes(func)
     declared = {name for node in nodes if isinstance(node, ast.Global)
                 for name in node.names}
+    nonlocal_ = {name for node in nodes if isinstance(node, ast.Nonlocal)
+                 for name in node.names}
     args = func.args
     local = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
                                  args.vararg, args.kwarg) if arg is not None}
     local.update(node.id for node in nodes
                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load))
-    local -= declared
+    local -= declared | nonlocal_
     aliases: dict[str, str] = {}
 
     def base(expr: ast.expr) -> Optional[str]:
@@ -144,7 +152,11 @@ def _global_writes(func: _FuncDef) -> Iterator[tuple[str, bool, ast.AST]]:
             expr = expr.value
         if not isinstance(expr, ast.Name):
             return None
-        return aliases.get(expr.id) if expr.id in local else expr.id
+        if expr.id in local:
+            return aliases.get(expr.id)
+        if expr.id in outer and expr.id not in declared:
+            return outer[expr.id]
+        return expr.id
 
     bindings: list[tuple[ast.expr, ast.expr]] = []
     for node in nodes:
@@ -167,14 +179,15 @@ def _global_writes(func: _FuncDef) -> Iterator[tuple[str, bool, ast.AST]]:
                     aliases[target.id] = origin
                     changed = True
 
+    writes: list[tuple[str, bool, ast.AST]] = []
     for node in nodes:
         if isinstance(node, ast.Name) and node.id in declared \
                 and not isinstance(node.ctx, ast.Load):
-            yield node.id, True, node
+            writes.append((node.id, True, node))
         elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
             name = base(node.value)
             if name is not None:
-                yield name, False, node
+                writes.append((name, False, node))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             func = node.func
             if (isinstance(func.value, ast.Name) and func.value.id == "heapq"
@@ -185,7 +198,10 @@ def _global_writes(func: _FuncDef) -> Iterator[tuple[str, bool, ast.AST]]:
             else:
                 continue
             if name is not None:
-                yield name, False, node
+                writes.append((name, False, node))
+    inner = {name: origin for name, origin in outer.items() if name not in declared}
+    inner.update((name, aliases.get(name)) for name in sorted(local))
+    return writes, inner
 
 
 class GlobalStateRule(Rule):
@@ -205,8 +221,14 @@ class GlobalStateRule(Rule):
         if not module.is_hot:
             return
         imports = _from_imports(module.tree)
-        for writer, func in _functions(module.tree):
-            for name, rebind, node in _global_writes(func):
+        stack = [(writer, func, {}) for writer, func in _defs(module.tree.body, "")]
+        while stack:
+            writer, func, outer = stack.pop()
+            nodes = _scope_nodes(func)
+            writes, inner = _global_writes(func, nodes, outer)
+            stack.extend((name, nested, inner)
+                         for name, nested in _defs(nodes, f"{writer}."))
+            for name, rebind, node in writes:
                 if rebind or name in mutables:
                     self._report_write(reporter, module, node, name, writer)
                 elif name in imports:

@@ -12,8 +12,6 @@ Commands::
     figure {2,3,4,10,11,12,13,14,15}     regenerate a paper figure's data
     validate [--scale S]                 check the reproduction's shape claims
     sweep --out R.jsonl [...]            crash-safe multi-point sweep
-    bench [--scale S]                    simulator speed microbenchmark
-                                         (cycles/second -> BENCH_sim_speed.json)
     lint [PATH ...]                      simulator-aware static analysis
     scorecard [--json] [--out F]         paper-fidelity scorecard (MAPE,
                                          geomean delta, Spearman rank corr.)
@@ -49,12 +47,13 @@ interrupted sweep resumes where it left off::
         --out results.jsonl --resume-from results.jsonl   # only the rest
 
 Resume skips quarantined failure records (deterministic errors,
-exhausted retries, supervisor quarantines) instead of re-running them;
-``sweep --retry-failed`` forces a re-attempt. ``sweep --worker-deadline
-SEC`` / ``--max-attempts N`` enable the hardened supervised pool: hung
-workers are killed after SEC silent seconds and their points requeued
-with capped jittered backoff, poisoned points are quarantined after N
-dispatches, and the pool degrades to serial if workers keep dying.
+supervisor quarantines) instead of re-running them; ``sweep
+--retry-failed`` forces a re-attempt. Every ``--jobs N`` pool is
+supervised: a crashed worker's point is requeued with capped jittered
+backoff, a point is quarantined after ``--max-attempts N`` dispatches
+(default 3), and the pool degrades to serial if workers keep dying.
+``sweep --worker-deadline SEC`` adds hang detection: a worker silent for
+SEC seconds is killed and its point requeued.
 
 ``run``, ``sweep`` and ``figure`` accept ``--metrics-out FILE`` to dump
 the process-wide operational metrics registry (counters and gauges —
@@ -470,6 +469,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import ProgressWriter
     from repro.experiments.sweep import run_sweep, sweep_points
+    from repro.resilience.supervisor import SupervisorConfig
 
     try:
         points = sweep_points(args.apps or None, args.configs or None,
@@ -488,16 +488,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         extra = (f"ipc={record['ipc']:.3f}" if status == "ok"
                  else f"{record['error']}: {record['message']}")
         writer.line(f"[sweep] {point.key}: {status} ({extra})")
-
-    supervisor = None
-    if args.worker_deadline is not None or args.max_attempts is not None:
-        from repro.resilience.supervisor import SupervisorConfig
-
-        supervisor = SupervisorConfig(
-            deadline_s=args.worker_deadline,
-            max_attempts=args.max_attempts
-            if args.max_attempts is not None else 3,
-        )
 
     registry = _registry(args)
     summary = run_sweep(
@@ -518,7 +508,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         heartbeat_writer=writer,
         retry_failed=args.retry_failed,
-        supervisor=supervisor,
+        supervisor=SupervisorConfig(deadline_s=args.worker_deadline,
+                                    max_attempts=args.max_attempts),
     )
     rows = [
         ["points", summary.total_points],
@@ -550,65 +541,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 #: Conventional location of the committed CI baseline scorecard.
 BASELINE_SCORECARD = os.path.join("bench_results", "baseline_scorecard.json")
-
-#: Where ``repro bench`` writes its headline speed measurement.
-BENCH_SIM_SPEED = os.path.join("bench_results", "BENCH_sim_speed.json")
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.bench import (
-        DEFAULT_FIGURE2_APPS,
-        DEFAULT_POINTS,
-        run_bench,
-    )
-
-    points = DEFAULT_POINTS
-    if args.apps:
-        points = tuple((app, config) for app, config in DEFAULT_POINTS
-                       if app in args.apps)
-        if not points:
-            points = tuple((app, "base") for app in args.apps)
-    figure2_apps = None if args.no_figure2 else (
-        tuple(args.apps) if args.apps else DEFAULT_FIGURE2_APPS)
-    payload = run_bench(scale=args.scale, points=points,
-                        figure2_apps=figure2_apps)
-
-    out = args.out or BENCH_SIM_SPEED
-    directory = os.path.dirname(out)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = [
-            [p["workload"], p["config"], p["cycles"], f"{p['wall_s']:.2f}",
-             f"{p['cycles_per_s']:,.0f}"]
-            for p in payload["points"]
-        ]
-        totals = payload["totals"]
-        rows.append(["(total)", "-", totals["cycles"],
-                     f"{totals['wall_s']:.2f}",
-                     f"{totals['cycles_per_s']:,.0f}"])
-        print(format_table(
-            ["App", "Config", "Cycles", "Wall s", "Cycles/s"], rows,
-            title=f"Simulation speed (scale={args.scale}, cold cache)"))
-        fig2 = payload.get("figure2")
-        if fig2:
-            print(f"figure2 end-to-end: {fig2['wall_s']:.2f}s "
-                  f"({fig2['num_points']} points, apps: "
-                  f"{', '.join(fig2['apps'])})")
-        print(f"bench json: {out}")
-    registry = _registry(args)
-    if registry is not None:
-        from repro.registry.records import bench_record
-
-        record = registry.put(bench_record(payload))
-        if not args.json:
-            print(f"registry: {record.run_id} -> {registry.root}")
-    return 0
 
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
@@ -986,32 +918,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="interval-metrics window in simulated cycles")
     p_sweep.add_argument("--worker-deadline", type=float, default=None,
                          metavar="SEC",
-                         help="supervised pool: kill and requeue any worker "
-                              "silent for SEC seconds (enables heartbeats)")
-    p_sweep.add_argument("--max-attempts", type=int, default=None, metavar="N",
-                         help="supervised pool: quarantine a point after N "
-                              "dispatch attempts (default 3)")
+                         help="kill and requeue any worker silent for SEC "
+                              "seconds (hang detection; crashed workers are "
+                              "always requeued)")
+    p_sweep.add_argument("--max-attempts", type=int, default=3, metavar="N",
+                         help="quarantine a point after N dispatch attempts "
+                              "(default 3)")
     add_parallel_flags(p_sweep, cache=True)
     add_integrity_flags(p_sweep)
     add_registry_flag(p_sweep)
     add_metrics_flag(p_sweep)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="simulator speed microbenchmark: cycles/second over a fixed "
-             "point set, written to bench_results/BENCH_sim_speed.json",
-    )
-    p_bench.add_argument("--scale", type=float, default=0.3)
-    p_bench.add_argument("--apps", nargs="*", metavar="APP",
-                         help="restrict the point set (and figure2 timing) "
-                              "to these workloads")
-    p_bench.add_argument("--out", metavar="FILE", default=None,
-                         help=f"output path (default {BENCH_SIM_SPEED})")
-    p_bench.add_argument("--no-figure2", action="store_true",
-                         help="skip the end-to-end figure2 wall-clock timing")
-    p_bench.add_argument("--json", action="store_true",
-                         help="emit the bench payload as JSON on stdout")
-    add_registry_flag(p_bench)
 
     p_score = sub.add_parser(
         "scorecard",
@@ -1131,7 +1047,6 @@ _COMMANDS = {
     "figure": _cmd_figure,
     "validate": _cmd_validate,
     "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
     "scorecard": _cmd_scorecard,
     "diff": _cmd_diff,
     "report": _cmd_report,

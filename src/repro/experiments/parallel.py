@@ -4,21 +4,21 @@ Every simulation point is an independent, deterministic, picklable unit of
 work — (workload, config, scale, GPUConfig) in, record out — which makes
 sweeps and figure regeneration embarrassingly parallel. This module holds
 everything process-related so the rest of the experiment layer stays
-sequential in shape:
+sequential in shape. All of it runs on the one supervised pool,
+:class:`~repro.resilience.supervisor.SupervisedPool`, so a worker that
+dies has its point requeued instead of breaking the run:
 
-* :func:`run_point_tasks` fans sweep points across a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, running the same
-  integrity wrapper (timeout, retry, failure records) inside each worker
-  and yielding records back as they complete; the sweep driver reorders
-  them into point order so the JSONL store is byte-identical to a serial
-  run.
-* :func:`prewarm` simulates runner points in a pool and seeds the
+* :func:`run_point_tasks` fans sweep points across the pool, running the
+  same integrity wrapper (timeout, retry, failure records) inside each
+  worker and yielding records back as they complete; the sweep driver
+  reorders them into point order so the JSONL store is byte-identical to
+  a serial run. Per-point telemetry heartbeats come back over the pool's
+  result queue and are rendered through one :class:`ProgressWriter`.
+* :func:`prewarm` simulates runner points in the pool and seeds the
   in-process memoisation cache, so figures/scorecards — which only ever
   call :func:`repro.experiments.runner.run` — parallelise without knowing
   this module exists.
-* :class:`ProgressWriter` serialises progress and heartbeat lines from
-  many sources onto one stream, and :class:`HeartbeatRelay` drains
-  per-worker telemetry heartbeats into it.
+* :func:`parallel_map` is the order-preserving map the ablations use.
 
 Workers inherit the parent's environment but never touch the registry or
 the results store; all persistence stays in the parent, so there is a
@@ -27,19 +27,20 @@ single writer per output file regardless of ``--jobs``.
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
+import functools
 import os
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from repro.config import GPUConfig
-from repro.resilience import faults
-from repro.resilience.supervisor import SupervisedPool, SupervisorConfig
+from repro.resilience.supervisor import (
+    PointQuarantined,
+    SupervisedPool,
+    SupervisorConfig,
+)
 from repro.telemetry.export import TelemetrySink
 
 #: One prewarmable runner point: (workload, config_name, scale, gpu_config).
@@ -91,9 +92,9 @@ class QueueHeartbeatSink(TelemetrySink):
     """Telemetry interval sink that forwards worker heartbeats to the parent.
 
     Installed on the per-point :class:`~repro.telemetry.TelemetryHub`
-    inside pool workers; each interval becomes one small tuple on a
-    manager queue, which the parent's :class:`HeartbeatRelay` renders
-    through the shared :class:`ProgressWriter`. Subclassing
+    inside pool workers; each interval becomes one small tuple put on the
+    pool's telemetry channel, which :func:`run_point_tasks` renders in the
+    parent. Subclassing
     :class:`~repro.telemetry.export.TelemetrySink` matters: the hub calls
     ``finish`` on every attached sink at run close, and a bare duck-typed
     sink would crash there.
@@ -110,57 +111,21 @@ class QueueHeartbeatSink(TelemetrySink):
                  record.get("ipc_cum"))
             )
         except Exception:  # simlint: ignore[SL008]
-            # A dying manager must never take the simulation down with it.
+            # A torn-down channel must never take the simulation down.
             pass
 
 
-class HeartbeatRelay:
-    """Parent-side drain of worker heartbeats onto one writer.
-
-    Owns a ``multiprocessing.Manager`` queue (proxy objects are picklable,
-    unlike raw ``mp.Queue``, so workers can receive it through the pool
-    initializer) and a daemon thread that renders each heartbeat in the
-    same format as the serial telemetry heartbeat line, prefixed with the
-    point key it belongs to.
-    """
-
-    def __init__(self, writer: ProgressWriter):
-        self._writer = writer
-        self._manager = multiprocessing.Manager()
-        self.queue = self._manager.Queue()
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
-
-    def _drain(self) -> None:
-        while True:
-            item = self.queue.get()
-            if item is None:
-                return
-            key, cycle_end, ipc, ipc_cum = item
-            self._writer.line(
-                f"[telemetry] {key}: cycle {cycle_end:,} | "
-                f"IPC {ipc:.3f} (cum {ipc_cum:.3f})"
-            )
-
-    def close(self) -> None:
-        try:
-            self.queue.put(None)
-            self._thread.join(timeout=5)
-        finally:
-            self._manager.shutdown()
+def _pool(config: Optional[SupervisorConfig] = None) -> SupervisedPool:
+    """A pool whose escalation events go to stderr as ``[supervisor]`` lines."""
+    return SupervisedPool(
+        config,
+        on_event=lambda message: print(f"[supervisor] {message}",
+                                       file=sys.stderr))
 
 
 # ----------------------------------------------------------------------
 # Sweep-point execution
 # ----------------------------------------------------------------------
-
-#: Worker-global heartbeat queue, set once per worker by ``_init_worker``.
-_WORKER_HEARTBEATS: Any = None
-
-
-def _init_worker(heartbeat_queue: Any) -> None:
-    global _WORKER_HEARTBEATS
-    _WORKER_HEARTBEATS = heartbeat_queue
 
 
 @dataclass(frozen=True)
@@ -178,7 +143,7 @@ class PointTask:
     telemetry_window: int
 
 
-def _run_point_task(task: PointTask) -> tuple[int, dict]:
+def _run_point_task(task: PointTask, heartbeats: Any) -> dict:
     """Worker entry: the sweep integrity wrapper around one point.
 
     Runs in the pool worker's main thread, so the SIGALRM wall-clock
@@ -186,10 +151,7 @@ def _run_point_task(task: PointTask) -> tuple[int, dict]:
     """
     from repro.experiments.sweep import _run_point
 
-    sink = None
-    if task.telemetry and _WORKER_HEARTBEATS is not None:
-        sink = QueueHeartbeatSink(_WORKER_HEARTBEATS, task.point.key)
-    record = _run_point(
+    return _run_point(
         task.point,
         gpu_config=task.gpu_config,
         retries=task.retries,
@@ -199,62 +161,39 @@ def _run_point_task(task: PointTask) -> tuple[int, dict]:
         telemetry=task.telemetry,
         trace_dir=task.trace_dir,
         telemetry_window=task.telemetry_window,
-        heartbeat_sink=sink,
+        heartbeat_sink=(QueueHeartbeatSink(heartbeats, task.point.key)
+                        if task.telemetry else None),
     )
-    return task.index, record
-
-
-def _default_supervisor_event(message: str) -> None:
-    print(f"[supervisor] {message}", file=sys.stderr)
 
 
 def run_point_tasks(
     tasks: Sequence[PointTask],
     jobs: int,
-    heartbeat_queue: Any = None,
     supervisor: Optional[SupervisorConfig] = None,
+    heartbeat_writer: Optional[ProgressWriter] = None,
 ) -> Iterator[tuple[int, Any]]:
-    """Execute sweep-point tasks on a pool, yielding in completion order.
+    """Execute sweep-point tasks on the pool, yielding in completion order.
 
-    Yields ``(index, record)``; a worker that dies outright (rather than
-    returning a failure record) yields ``(index, exception)`` so the
-    caller can turn it into a structured failure record. The caller owns
-    ordering — see :func:`repro.experiments.sweep.run_sweep`, which holds
-    completed records back until every earlier point has flushed.
-
-    With a ``supervisor`` config — or whenever a fault plan is armed —
-    the plain executor is swapped for the hardened
-    :class:`~repro.resilience.supervisor.SupervisedPool`: heartbeat
-    deadlines, kill-and-requeue with capped jittered backoff, poisoned
-    point quarantine (yielded as
-    :class:`~repro.resilience.supervisor.PointQuarantined`), and graceful
-    degradation to serial when the pool keeps dying.
+    Yields ``(task.index, record)``, or ``(task.index,``
+    :class:`~repro.resilience.supervisor.PointQuarantined` ``)`` for a
+    point whose workers kept dying. The caller owns ordering — see
+    :func:`repro.experiments.sweep.run_sweep`, which holds completed
+    records back until every earlier point has flushed. ``supervisor``
+    sets the heartbeat deadline and attempt budget; ``heartbeat_writer``
+    receives one line per worker telemetry interval.
     """
-    if not tasks:
-        return
-    if supervisor is None and faults.ACTIVE is not None:
-        # A chaos run without an explicit config still needs supervision:
-        # injected hangs/crashes must be detected, not wedge the sweep.
-        supervisor = SupervisorConfig(deadline_s=10.0)
-    if supervisor is not None:
-        if supervisor.fault_plan is None and faults.ACTIVE is not None:
-            supervisor = dataclasses.replace(
-                supervisor, fault_plan=faults.ACTIVE)
-        pool = SupervisedPool(supervisor, on_event=_default_supervisor_event)
-        yield from pool.run(tasks, jobs, telemetry_queue=heartbeat_queue)
-        return
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        initializer=_init_worker,
-        initargs=(heartbeat_queue,),
-    ) as pool:
-        futures = {pool.submit(_run_point_task, task): task for task in tasks}
-        for future in as_completed(futures):
-            task = futures[future]
-            try:
-                yield future.result()
-            except Exception as exc:  # e.g. BrokenProcessPool, MemoryError
-                yield task.index, exc
+    on_telemetry = None
+    if heartbeat_writer is not None:
+        def on_telemetry(heartbeat: tuple) -> None:
+            # The serial telemetry heartbeat's format, prefixed with the
+            # point key it belongs to.
+            key, cycle_end, ipc, ipc_cum = heartbeat
+            heartbeat_writer.line(
+                f"[telemetry] {key}: cycle {cycle_end:,} | "
+                f"IPC {ipc:.3f} (cum {ipc_cum:.3f})")
+    for position, payload in _pool(supervisor).run(
+            _run_point_task, tasks, jobs, on_telemetry=on_telemetry):
+        yield tasks[position].index, payload
 
 
 # ----------------------------------------------------------------------
@@ -262,22 +201,24 @@ def run_point_tasks(
 # ----------------------------------------------------------------------
 
 
-def _prewarm_worker(point: RunPoint):
+def _prewarm_worker(point: RunPoint, _telemetry: Any):
     from repro.experiments.runner import run
 
-    return point, run(*point)
+    return run(*point)
 
 
 def prewarm(points: Iterable[RunPoint], jobs: int) -> int:
     """Simulate runner points in a pool and seed the in-process run cache.
 
-    Returns how many points were actually simulated (already-cached and
-    duplicate points are dropped first). With ``jobs <= 1`` the points run
-    in-process, which is exactly what the figure code would do lazily —
-    so prewarming never changes results, only when the work happens.
+    Returns how many points were handed to the pool or run (already-cached
+    and duplicate points are dropped first). With ``jobs <= 1`` the points
+    run in-process, which is exactly what the figure code would do lazily
+    — so prewarming never changes results, only when the work happens.
     RunResults are plain picklable dataclasses, and simulation is
     deterministic, so a worker-produced result is indistinguishable from
-    a local one.
+    a local one. A point the pool quarantines is simply not seeded: the
+    figure's serial producer re-runs it in-process, where a real error
+    surfaces as an ordinary :class:`~repro.errors.ReproError`.
     """
     from repro.experiments import runner
 
@@ -295,24 +236,35 @@ def prewarm(points: Iterable[RunPoint], jobs: int) -> int:
         for point in todo:
             runner.run(*point)
         return len(todo)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-        for point, result in pool.map(_prewarm_worker, todo):
-            runner.seed_cache(*point, result)
+    for index, result in _pool().run(_prewarm_worker, todo, jobs):
+        if not isinstance(result, PointQuarantined):
+            runner.seed_cache(*todo[index], result)
     return len(todo)
 
 
+def _map_item(fn: Callable[[Any], Any], item: Any, _telemetry: Any) -> Any:
+    return fn(item)
+
+
 def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any], jobs: int) -> list:
-    """Order-preserving map over a process pool (in-process for jobs<=1).
+    """Order-preserving map over the pool (in-process for jobs<=1).
 
     ``fn`` must be a module-level callable and every item picklable; the
     ablation sweeps use this to evaluate their non-memoisable APRES
-    variants concurrently.
+    variants concurrently. An item the pool quarantines raises
+    :class:`~repro.resilience.supervisor.PointQuarantined`.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
+    results: list[Any] = [None] * len(items)
+    for index, result in _pool().run(
+            functools.partial(_map_item, fn), items, jobs):
+        results[index] = result
+    for result in results:
+        if isinstance(result, PointQuarantined):
+            raise result
+    return results
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import sleep as _default_sleep
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.config import GPUConfig
 from repro.errors import ReproError, SimulationError, WatchdogTimeout
@@ -37,6 +37,9 @@ from repro.experiments.configs import CONFIGS
 from repro.experiments.runner import RunResult, run
 from repro.resilience.atomic import append_line
 from repro.workloads.suite import SUITE
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resilience.supervisor import SupervisorConfig
 
 #: Bump when the record layout changes incompatibly.
 RESULT_FORMAT = 1
@@ -207,9 +210,8 @@ def _failure_record(point: SweepPoint, exc: ReproError, attempts: int,
     """Structured failure row. ``quarantined`` marks failures that resume
     should *skip* rather than retry: deterministic errors and supervisor
     quarantines (a point that failed ``max_attempts`` times in one run).
-    Transient failures (a worker crash under the plain pool, an exhausted
-    serial retry budget) pass ``False`` so the next resume re-attempts
-    them.
+    Transient failures (an exhausted retry budget) pass ``False`` so the
+    next resume re-attempts them.
     """
     return {
         "format": RESULT_FORMAT,
@@ -323,7 +325,7 @@ def run_sweep(
     use_cache: bool = True,
     heartbeat_writer: Optional[Any] = None,
     retry_failed: bool = False,
-    supervisor: Optional[Any] = None,
+    supervisor: Optional[SupervisorConfig] = None,
 ) -> SweepSummary:
     """Run every point, persisting each result to ``out_path`` as it lands.
 
@@ -354,16 +356,17 @@ def run_sweep(
     already archived are replayed verbatim instead of re-simulated —
     ``--no-cache`` at the CLI forces recomputation.
 
-    ``jobs > 1`` spreads the points across a process pool
+    ``jobs > 1`` spreads the points across the supervised process pool
     (:mod:`repro.experiments.parallel`); completed records stream back and
     are appended strictly in point order, so the JSONL output is
-    byte-identical to a serial sweep. All persistence (store, registry)
-    stays in the parent. ``heartbeat_writer`` (a
+    byte-identical to a serial sweep. A worker that dies has its point
+    requeued; a point that keeps killing workers becomes a quarantined
+    failure record. All persistence (store, registry) stays in the
+    parent. ``heartbeat_writer`` (a
     :class:`~repro.experiments.parallel.ProgressWriter`) merges per-worker
     telemetry heartbeats into one stream when telemetry is enabled.
-    ``supervisor`` (a :class:`~repro.resilience.SupervisorConfig`) swaps
-    the plain pool for the hardened supervised engine — heartbeat
-    deadlines, kill-and-requeue, quarantine, serial degradation.
+    ``supervisor`` (a :class:`~repro.resilience.SupervisorConfig`) sets
+    the pool's heartbeat deadline and attempt budget.
     """
     points = list(points)
     base_prov = _base_provenance(gpu_config)
@@ -485,7 +488,7 @@ def _run_pending_parallel(
     cache_lookup: Optional[Callable[[SweepPoint, dict], Optional[dict]]],
     jobs: int,
     heartbeat_writer: Optional[Any],
-    supervisor: Optional[Any] = None,
+    supervisor: Optional[SupervisorConfig],
 ) -> None:
     """Fan pending points across a pool, flushing strictly in point order.
 
@@ -496,7 +499,6 @@ def _run_pending_parallel(
     of order.
     """
     from repro.experiments.parallel import (
-        HeartbeatRelay,
         PointTask,
         ProgressWriter,
         run_point_tasks,
@@ -520,11 +522,6 @@ def _run_pending_parallel(
             trace_dir=trace_dir, telemetry_window=telemetry_window,
         ))
 
-    relay = None
-    if telemetry and tasks:
-        writer = heartbeat_writer or ProgressWriter()
-        relay = HeartbeatRelay(writer)
-
     next_index = 0
 
     def flush_ready() -> None:
@@ -534,37 +531,22 @@ def _run_pending_parallel(
             flush(pending[next_index], record, cached)
             next_index += 1
 
-    try:
-        for index, payload in run_point_tasks(
-            tasks, jobs, heartbeat_queue=relay.queue if relay else None,
-            supervisor=supervisor,
-        ):
-            if isinstance(payload, PointQuarantined):
-                record = _failure_record(
-                    pending[index], payload,
-                    attempts=int(payload.details.get("attempts", 1)),
-                    quarantined=True,
-                )
-            elif isinstance(payload, Exception):
-                record = _failure_record(
-                    pending[index],
-                    SimulationError(
-                        f"worker died running {pending[index].key}: {payload!r}",
-                        details={"kind": "worker-crash",
-                                 "error": type(payload).__name__},
-                    ),
-                    attempts=1,
-                    quarantined=False,
-                )
-            else:
-                record = payload
-            record["provenance"] = provenances[index]
-            results[index] = (record, False)
-            flush_ready()
+    for index, payload in run_point_tasks(
+        tasks, jobs, supervisor=supervisor,
+        heartbeat_writer=(heartbeat_writer or ProgressWriter())
+        if telemetry else None,
+    ):
+        if isinstance(payload, PointQuarantined):
+            record = _failure_record(
+                pending[index], payload,
+                attempts=int(payload.details.get("attempts", 1)),
+            )
+        else:
+            record = payload
+        record["provenance"] = provenances[index]
+        results[index] = (record, False)
         flush_ready()
-    finally:
-        if relay is not None:
-            relay.close()
+    flush_ready()
 
 
 def _run_point(

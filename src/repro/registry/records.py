@@ -308,27 +308,6 @@ def figure_record(name: str, payload: Any, scale: float,
     )
 
 
-def bench_record(payload: Mapping[str, Any]) -> RunRecord:
-    """Registry record for one ``repro bench`` speed measurement.
-
-    Speed is a property of the host as much as of the code, so the
-    identity includes nothing host-specific — every bench run of the same
-    point set at the same scale lands under one ``run_id`` and the history
-    under that id is the perf trajectory.
-    """
-    identity = {
-        "bench": "sim_speed",
-        "scale": payload.get("scale"),
-        "points": [[p.get("workload"), p.get("config")]
-                   for p in payload.get("points") or []],
-    }
-    return _record(
-        "bench", "sim_speed", identity,
-        flatten_metrics(payload.get("totals") or {}),
-        data=dict(payload),
-    )
-
-
 def scorecard_record(payload: Mapping[str, Any]) -> RunRecord:
     """Registry record for one scorecard evaluation."""
     identity = {

@@ -11,9 +11,10 @@ that layer:
 * :mod:`repro.resilience.atomic` — write-temp/fsync/rename full-file
   writes and self-healing ``O_APPEND`` single-syscall line appends, so a
   torn write can never persist into a store or the registry.
-* :mod:`repro.resilience.supervisor` — a hardened process pool: per-worker
-  heartbeat deadlines escalate hung workers to kill-and-requeue with
-  capped exponential backoff and deterministic jitter, poisoned points are
+* :mod:`repro.resilience.supervisor` — the process pool behind every
+  ``--jobs N`` path: crashed workers (and, with a heartbeat deadline,
+  hung ones) are killed and their points requeued with capped
+  exponential backoff and deterministic jitter, poisoned points are
   quarantined after N attempts, and a pool that keeps dying degrades
   gracefully to in-parent serial execution.
 * :mod:`repro.resilience.fsck` — registry self-healing: detect truncated

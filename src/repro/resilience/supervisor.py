@@ -1,39 +1,41 @@
-"""Hardened process pool: heartbeat deadlines, kill-and-requeue, quarantine.
+"""The process pool: heartbeat deadlines, kill-and-requeue, quarantine.
 
-:class:`concurrent.futures.ProcessPoolExecutor` — the engine behind plain
-``--jobs N`` sweeps — has two failure modes a long campaign cannot
-afford: a worker that *dies* breaks the whole pool (every outstanding
-future raises ``BrokenProcessPool``), and a worker that *hangs* (SIGSTOP,
-runaway kernel, NFS stall) wedges the sweep forever. This module replaces
-it with a supervised pool when resilience is requested:
+Every ``--jobs N`` path (sweeps, figure/scorecard prewarming, ablation
+variants) runs a module-level function over picklable items on this
+pool. A plain ``concurrent.futures`` process pool has two failure modes
+a long campaign cannot afford: a worker that *dies* breaks the whole
+pool (every outstanding future raises ``BrokenProcessPool``), and a
+worker that *hangs* (SIGSTOP, runaway kernel, NFS stall) wedges the run
+forever. This pool is built against both:
 
 * the parent assigns work through **per-worker task queues** and records
   the assignment on its side *at dispatch time* — detection never depends
   on a message from the worker, because a worker frozen right after
   accepting a task would freeze its queue feeder thread too and the
   message would simply never arrive.
+* a worker that dies outright (crash, OOM-kill) is detected via its
+  process handle: its item is requeued with capped exponential backoff
+  and deterministic jitter on a replacement worker, and the other items
+  never notice. This is always on.
 * every worker runs a daemon **heartbeat thread** posting ticks to the
   parent; a SIGSTOP freezes all threads, so heartbeats ceasing is exactly
-  the hang signal. The parent timestamps receipt on its own clock (child
-  clocks are never trusted) and escalates any assigned worker silent past
-  ``deadline_s``: SIGKILL → attempt accounting → **requeue** with capped
-  exponential backoff and deterministic jitter → replacement worker.
-* a worker that dies outright (crash, OOM-kill) is detected via its
-  process handle and handled the same way — the sweep's other points
-  never notice.
-* a point that keeps killing its workers is **quarantined** after
-  ``max_attempts`` dispatches: the supervisor yields
-  :class:`PointQuarantined` for it (the sweep driver turns that into a
-  structured failure record marked ``"quarantined": true``) and the sweep
-  continues.
-* if the pool keeps dying (``degrade_after`` worker deaths), the
-  supervisor stops spawning replacements and **degrades gracefully to
-  serial** in-parent execution of the remaining points.
+  the hang signal. With a ``deadline_s``, the parent timestamps receipt
+  on its own clock (child clocks are never trusted) and escalates any
+  assigned worker silent past it: SIGKILL, then the same requeue.
+* an item that keeps killing its workers is **quarantined** after
+  ``max_attempts`` dispatches: the pool yields :class:`PointQuarantined`
+  for it (the sweep driver turns that into a structured failure record
+  marked ``"quarantined": true``) and the run continues.
+* if the pool keeps dying (:data:`DEGRADE_AFTER` worker deaths), it stops
+  spawning replacements and **degrades gracefully to serial** in-parent
+  execution of the remaining items.
 
 Requeued attempts re-run the same deterministic simulation, so a sweep
 that recovers from any number of crashes/hangs still produces output
 byte-identical to an undisturbed serial run — the property ``repro
-chaos`` asserts end-to-end.
+chaos`` asserts end-to-end. Workers inherit the armed
+:data:`repro.resilience.faults.ACTIVE` plan at spawn, which is how the
+chaos harness reaches them.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import queue as queue_mod
 import random
 import threading
 import time
+import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -55,7 +58,8 @@ from repro.telemetry.metrics import get_registry
 
 
 class PointQuarantined(ReproError):
-    """A sweep point was abandoned after exhausting its dispatch attempts.
+    """A pool item (a sweep point, a prewarm point, an ablation variant)
+    was abandoned after exhausting its dispatch attempts.
 
     ``details`` carries ``kind`` (``worker-hang`` / ``worker-crash`` /
     ``worker-error``), the attempt count, and ``quarantined: True`` — the
@@ -64,31 +68,31 @@ class PointQuarantined(ReproError):
     """
 
 
+#: Deterministic-jitter fraction added to each requeue backoff (0..1).
+JITTER_FRAC = 0.25
+#: Worker deaths tolerated before degrading to in-parent serial.
+DEGRADE_AFTER = 6
+#: Parent poll period while waiting for worker messages.
+POLL_INTERVAL_S = 0.05
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Tuning knobs of one supervised-pool run (picklable, no callables)."""
+    """Deadline and attempt budget of one pool run (picklable)."""
 
     #: Escalate an assigned worker silent for this long (None: hang
     #: detection off; crash detection needs no heartbeats and stays on).
     deadline_s: Optional[float] = None
     #: Worker-side heartbeat period; keep well under ``deadline_s``.
     heartbeat_interval_s: float = 0.2
-    #: Total dispatches per point before quarantine.
+    #: Total dispatches per item before quarantine.
     max_attempts: int = 3
     #: First-requeue backoff; doubles per subsequent attempt.
     backoff_base_s: float = 0.25
     #: Ceiling on the exponential backoff.
     backoff_cap_s: float = 5.0
-    #: Deterministic-jitter fraction added to each backoff (0..1).
-    jitter_frac: float = 0.25
-    #: Seed for the jitter stream (paired with point index + attempt).
+    #: Seed for the jitter stream (paired with item index + attempt).
     seed: int = 0
-    #: Worker deaths tolerated before degrading to in-parent serial.
-    degrade_after: int = 6
-    #: Parent poll period while waiting for worker messages.
-    poll_interval_s: float = 0.05
-    #: Fault schedule armed inside each worker (chaos/testing).
-    fault_plan: Optional[faults.FaultPlan] = None
 
 
 @dataclass
@@ -102,22 +106,16 @@ class _Assignment:
 
 def _worker_main(
     worker_id: int,
+    fn: Callable[[Any, Any], Any],
     task_queue: Any,
     result_queue: Any,
     plan: Optional[faults.FaultPlan],
     heartbeat_interval_s: float,
-    telemetry_queue: Any,
 ) -> None:
-    """Supervised worker: heartbeat thread + task loop.
-
-    Runs tasks with the same integrity wrapper as the plain pool
-    (:func:`repro.experiments.parallel._run_point_task`), so records are
-    byte-identical regardless of which engine produced them.
-    """
-    from repro.experiments.parallel import _init_worker, _run_point_task
-
+    """Pool worker: heartbeat thread + task loop calling ``fn``."""
     faults.arm(plan)
-    _init_worker(telemetry_queue)
+    telemetry = types.SimpleNamespace(
+        put=lambda payload: result_queue.put(("tm", worker_id, payload)))
     stop = threading.Event()
 
     def _beat() -> None:
@@ -129,31 +127,29 @@ def _worker_main(
 
     threading.Thread(target=_beat, daemon=True).start()
     while True:
-        item = task_queue.get()
-        if item is None:
+        message = task_queue.get()
+        if message is None:
             break
-        task, attempt = item
+        index, item, attempt = message
         if plan is not None:
-            plan.worker_point_fault(task.index, attempt)
+            plan.worker_point_fault(index, attempt)
         try:
-            index, record = _run_point_task(task)
-            result_queue.put(("done", worker_id, index, record))
+            result_queue.put(("done", worker_id, index, fn(item, telemetry)))
         except BaseException as exc:
             result_queue.put(
-                ("error", worker_id, task.index,
-                 f"{type(exc).__name__}: {exc}"))
+                ("error", worker_id, index, f"{type(exc).__name__}: {exc}"))
     stop.set()
 
 
 class SupervisedPool:
-    """Kill-and-requeue pool supervisor. One instance per run() call."""
+    """Kill-and-requeue process pool. One instance per run() call."""
 
     def __init__(
         self,
-        config: SupervisorConfig,
+        config: Optional[SupervisorConfig] = None,
         on_event: Optional[Callable[[str], None]] = None,
     ):
-        self.config = config
+        self.config = config or SupervisorConfig()
         self._on_event = on_event
         #: Human-readable escalation log (tests assert against this).
         self.events: list[str] = []
@@ -162,6 +158,8 @@ class SupervisedPool:
         self._queues: dict[int, Any] = {}
         self._idle: list[int] = []
         self._next_worker_id = 0
+        #: Arguments every worker of the current run is spawned with.
+        self._spawn_args: tuple = ()
         self.worker_deaths = 0
         self.degraded = False
 
@@ -177,18 +175,18 @@ class SupervisedPool:
         base = min(cfg.backoff_cap_s,
                    cfg.backoff_base_s * (2 ** max(0, attempt - 2)))
         jitter = random.Random(f"{cfg.seed}:{index}:{attempt}").uniform(
-            0.0, cfg.jitter_frac)
+            0.0, JITTER_FRAC)
         return base * (1.0 + jitter)
 
-    def _spawn_worker(self, result_queue: Any, telemetry_queue: Any) -> int:
+    def _spawn_worker(self) -> int:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._ctx.Queue()
+        fn, result_queue, plan = self._spawn_args
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_queue, result_queue,
-                  self.config.fault_plan, self.config.heartbeat_interval_s,
-                  telemetry_queue),
+            args=(worker_id, fn, task_queue, result_queue, plan,
+                  self.config.heartbeat_interval_s),
             daemon=True,
         )
         proc.start()
@@ -223,30 +221,33 @@ class SupervisedPool:
 
     def run(
         self,
-        tasks: Sequence[Any],
+        fn: Callable[[Any, Any], Any],
+        items: Sequence[Any],
         jobs: int,
-        telemetry_queue: Any = None,
+        on_telemetry: Optional[Callable[[Any], None]] = None,
     ) -> Iterator[tuple[int, Any]]:
-        """Execute tasks, yielding ``(index, record-or-exception)``.
+        """Call ``fn(item, telemetry)`` for every item on up to ``jobs``
+        workers, yielding ``(index, result)`` in completion order.
 
-        Yields in completion order (the sweep driver owns point ordering).
-        Every task index is yielded exactly once: a success record, a
-        failure record produced inside the worker, or
+        ``fn`` must be a module-level function (workers may be spawned,
+        not forked) and every item picklable. ``telemetry.put(payload)``
+        inside ``fn`` hands ``payload`` to ``on_telemetry`` in the parent.
+        Every index is yielded exactly once: ``fn``'s return value, or
         :class:`PointQuarantined` after escalation exhausts its attempts.
+        An item's index is also its fault-plan key (``worker.point``).
         """
-        if not tasks:
+        if not items:
             return
         cfg = self.config
-        tasks_by_index = {task.index: task for task in tasks}
-        attempts = {task.index: 0 for task in tasks}  # dispatches so far
+        attempts = [0] * len(items)  # dispatches so far
         completed: set[int] = set()
         assigned: dict[int, _Assignment] = {}
-        #: Points awaiting (re)dispatch: (ready_at, seq, index).
+        #: Items awaiting (re)dispatch: (ready_at, seq, index).
         pending: list[tuple[float, int, int]] = [
-            (0.0, order, task.index) for order, task in enumerate(tasks)]
-        heapq.heapify(pending)
-        seq = len(tasks)
+            (0.0, index, index) for index in range(len(items))]
+        seq = len(items)
         result_queue = self._ctx.Queue()
+        self._spawn_args = (fn, result_queue, faults.ACTIVE)
 
         def escalate(index: int, kind: str,
                      detail: str) -> Optional[PointQuarantined]:
@@ -286,10 +287,10 @@ class SupervisedPool:
             return None
 
         try:
-            for _ in range(min(jobs, len(tasks))):
-                self._spawn_worker(result_queue, telemetry_queue)
+            for _ in range(min(jobs, len(items))):
+                self._spawn_worker()
 
-            while len(completed) < len(tasks):
+            while len(completed) < len(items):
                 now = time.monotonic()
                 # Dispatch: parent-side assignment *before* the queue put,
                 # so a worker frozen mid-accept is still accountable.
@@ -302,10 +303,11 @@ class SupervisedPool:
                     assigned[worker_id] = _Assignment(
                         index=index, attempt=attempts[index], last_seen=now)
                     self._queues[worker_id].put(
-                        (tasks_by_index[index], attempts[index]))
+                        (index, items[index], attempts[index]))
 
                 if self.degraded and not self._workers:
-                    yield from self._run_serially(tasks_by_index, completed)
+                    yield from self._run_serially(
+                        fn, items, completed, on_telemetry)
                     return
 
                 # Drain everything already queued, then one blocking poll —
@@ -319,7 +321,7 @@ class SupervisedPool:
                 if not messages:
                     try:
                         messages.append(
-                            result_queue.get(timeout=cfg.poll_interval_s))
+                            result_queue.get(timeout=POLL_INTERVAL_S))
                     except queue_mod.Empty:
                         pass
                 for message in messages:
@@ -327,22 +329,24 @@ class SupervisedPool:
                     assignment = assigned.get(worker_id)
                     if assignment is not None:
                         assignment.last_seen = time.monotonic()
+                    if kind == "tm":
+                        if on_telemetry is not None:
+                            on_telemetry(message[2])
+                        continue
+                    if kind == "hb":
+                        continue
+                    index = message[2]
+                    assigned.pop(worker_id, None)
+                    if (worker_id in self._workers
+                            and worker_id not in self._idle):
+                        self._idle.append(worker_id)
                     if kind == "done":
-                        index, record = message[2], message[3]
-                        assigned.pop(worker_id, None)
-                        if (worker_id in self._workers
-                                and worker_id not in self._idle):
-                            self._idle.append(worker_id)
                         if index not in completed:
                             completed.add(index)
-                            yield index, record
-                    elif kind == "error":
-                        index, detail = message[2], message[3]
-                        assigned.pop(worker_id, None)
-                        if (worker_id in self._workers
-                                and worker_id not in self._idle):
-                            self._idle.append(worker_id)
-                        quarantine = escalate(index, "worker-error", detail)
+                            yield index, message[3]
+                    else:  # "error": fn raised inside the worker
+                        quarantine = escalate(index, "worker-error",
+                                              message[3])
                         if quarantine is not None:
                             completed.add(index)
                             yield index, quarantine
@@ -376,7 +380,7 @@ class SupervisedPool:
                         if quarantine is not None:
                             completed.add(assignment.index)
                             yield assignment.index, quarantine
-                        self._maybe_respawn(result_queue, telemetry_queue)
+                        self._maybe_respawn()
 
                 # Crash detection: a worker process that died outright.
                 for worker_id, proc in list(self._workers.items()):
@@ -411,13 +415,13 @@ class SupervisedPool:
                         self._event(
                             f"idle worker {worker_id} died "
                             f"(exitcode {exitcode})")
-                    self._maybe_respawn(result_queue, telemetry_queue)
+                    self._maybe_respawn()
         finally:
             self._shutdown()
 
-    def _maybe_respawn(self, result_queue: Any, telemetry_queue: Any) -> None:
+    def _maybe_respawn(self) -> None:
         """Replace a dead worker, or trip the serial-degradation switch."""
-        if self.worker_deaths >= self.config.degrade_after:
+        if self.worker_deaths >= DEGRADE_AFTER:
             if not self.degraded:
                 self.degraded = True
                 self._event(
@@ -427,28 +431,25 @@ class SupervisedPool:
             for worker_id in list(self._workers):
                 self._kill_worker(worker_id)
             return
-        self._spawn_worker(result_queue, telemetry_queue)
+        self._spawn_worker()
 
+    @staticmethod
     def _run_serially(
-        self,
-        tasks_by_index: dict[int, Any],
+        fn: Callable[[Any, Any], Any],
+        items: Sequence[Any],
         completed: set[int],
+        on_telemetry: Optional[Callable[[Any], None]],
     ) -> Iterator[tuple[int, Any]]:
-        """Degraded mode: finish the remaining points in the parent.
+        """Degraded mode: finish the remaining items in the parent.
 
         Worker-site faults never fire here — they are tripped only by the
-        supervised worker wrapper, which arms the plan per worker process
-        — so a plan that keeps killing workers cannot take the parent
-        down with it.
+        worker loop, which arms the plan per worker process — so a plan
+        that keeps killing workers cannot take the parent down with it.
+        An exception ``fn`` raises here propagates, as in a serial run.
         """
-        from repro.experiments.parallel import _run_point_task
-
-        for index in sorted(set(tasks_by_index) - completed):
-            try:
-                _index, record = _run_point_task(tasks_by_index[index])
-            except Exception as exc:
+        telemetry = types.SimpleNamespace(
+            put=on_telemetry or (lambda payload: None))
+        for index in range(len(items)):
+            if index not in completed:
                 completed.add(index)
-                yield index, exc
-                continue
-            completed.add(index)
-            yield index, record
+                yield index, fn(items[index], telemetry)

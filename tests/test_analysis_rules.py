@@ -386,6 +386,53 @@ class TestSL010GlobalState:
         assert by_rule(result) == {"SL010": 3}
         assert [f.line for f in result.findings] == [9, 14, 19]
 
+    def test_nested_functions_are_scanned_in_their_own_scope(self, tmp_path):
+        target = tmp_path / "sm"
+        target.mkdir()
+        (target / "n.py").write_text(textwrap.dedent("""\
+            _SEEN = []
+            _ROWS = {}
+
+
+            def outer():
+                def inner(w):
+                    _SEEN.append(w)
+                return inner
+
+
+            def aliased(k):
+                row = _ROWS[k]
+
+                def grow(v):
+                    row.append(v)
+                return grow
+
+
+            def shadowed():
+                _SEEN = []
+
+                def note(w):
+                    _SEEN.append(w)
+
+                def reset():
+                    _SEEN = []
+                    _SEEN.clear()
+                return note, reset
+
+
+            class Holder:
+                __slots__ = ()
+
+                def method(self):
+                    def put(k, v):
+                        _ROWS[k] = v
+                    return put
+        """))
+        result = run_lint([target])
+        assert by_rule(result) == {"SL010": 3}
+        assert [f.line for f in result.findings] == [7, 15, 36]
+        assert "from `Holder.method.put`" in result.findings[-1].message
+
 
 class TestSL011MetricNames:
     def test_bad_fixture_fires_all_three_directions(self):

@@ -24,7 +24,6 @@ from conftest import make_config
 from repro.experiments import runner
 from repro.experiments.configs import CONFIGS
 from repro.experiments.parallel import (
-    HeartbeatRelay,
     ProgressWriter,
     QueueHeartbeatSink,
     figure_points,
@@ -35,6 +34,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.sweep import ResultsStore, run_sweep, sweep_points
 from repro.registry.store import RegistryStore
+from repro.resilience.supervisor import SupervisorConfig
 from repro.sm.simulator import simulate
 from repro.telemetry import TelemetryHub
 from repro.telemetry.export import InMemorySink
@@ -49,6 +49,30 @@ SCALE = 0.05
 
 def tiny_points(apps=APPS, configs=("base", "apres"), scales=(SCALE,)):
     return sweep_points(apps, configs, scales)
+
+
+def crash_first_worker_call(monkeypatch, target, marker):
+    """Patch ``target`` so the first call made in a pool worker ``os._exit``s.
+
+    ``marker`` is created with O_EXCL, so exactly one worker dies however
+    the calls race; every other call reaches the original function.
+    """
+    module_name, attr = target.rsplit(".", 1)
+    module = __import__(module_name, fromlist=[attr])
+    original = getattr(module, attr)
+    parent = os.getpid()
+
+    def dies_once(*args, **kwargs):
+        if os.getpid() != parent:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, dies_once)
 
 
 @pytest.fixture(autouse=True)
@@ -128,23 +152,22 @@ class TestQueueHeartbeatSink:
         sink.on_interval({"cycle_end": 1, "ipc": 0.1, "ipc_cum": 0.1})  # no raise
 
 
-class TestHeartbeatRelay:
-    def test_relay_renders_intervals_through_progress_writer(self):
-        # A pool worker's QueueHeartbeatSink feeds the parent's relay; wire
-        # the real relay + writer to a hub and require one rendered line
-        # per interval record.
+class TestWorkerHeartbeats:
+    def test_jobs2_sweep_renders_every_interval(self, tmp_path):
+        # Each pool worker's QueueHeartbeatSink reaches the parent over the
+        # pool's result queue; the parent renders one line per interval
+        # record through the sweep's ProgressWriter.
+        cfg = make_config(num_sms=2)
+        hub = TelemetryHub(window=500)
+        tap = InMemorySink()
+        hub.add_interval_sink(tap)
+        simulate(build_kernel(workload("KM"), SCALE), cfg,
+                 CONFIGS["apres"].build, telemetry=hub)
         stream = io.StringIO()
-        relay = HeartbeatRelay(ProgressWriter(stream))
-        try:
-            hub = TelemetryHub(window=500)
-            tap = InMemorySink()
-            hub.add_interval_sink(tap)
-            hub.add_interval_sink(
-                QueueHeartbeatSink(relay.queue, "KM|apres|0.05"))
-            simulate(build_kernel(workload("KM"), SCALE), make_config(num_sms=2),
-                     CONFIGS["apres"].build, telemetry=hub)
-        finally:
-            relay.close()
+        run_sweep(sweep_points(["KM"], ("apres",), (SCALE,)),
+                  str(tmp_path / "hb.jsonl"), gpu_config=cfg, telemetry=True,
+                  telemetry_window=500, jobs=2,
+                  heartbeat_writer=ProgressWriter(stream))
         lines = stream.getvalue().splitlines()
         assert len(lines) == len(tap.intervals) > 0
         for line, interval in zip(lines, tap.intervals):
@@ -190,21 +213,37 @@ class TestParallelSweepIdentity:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_worker_crash_becomes_failure_record(self, tmp_path, monkeypatch):
-        def dead_pool(tasks, jobs, heartbeat_queue=None, supervisor=None):
-            for task in tasks:
-                yield task.index, MemoryError("worker OOM-killed")
+        # A point whose worker dies on every attempt is quarantined as a
+        # structured failure record instead of failing the sweep.
+        def dies(*args, **kwargs):
+            os._exit(1)
 
-        monkeypatch.setattr(
-            "repro.experiments.parallel.run_point_tasks", dead_pool)
+        monkeypatch.setattr("repro.experiments.sweep._run_point", dies)
         out = tmp_path / "crash.jsonl"
         summary = run_sweep(tiny_points(apps=["BFS"], configs=("base",)),
-                            str(out), gpu_config=make_config(), jobs=2)
+                            str(out), gpu_config=make_config(), jobs=2,
+                            supervisor=SupervisorConfig(max_attempts=2,
+                                                        backoff_base_s=0.01))
         assert summary.failed == 1
         record = next(iter(ResultsStore(str(out)).load().values()))
         assert record["status"] == "failed"
+        assert record["quarantined"] is True
+        assert record["attempts"] == 2
         assert record["details"]["kind"] == "worker-crash"
-        assert record["details"]["error"] == "MemoryError"
-        assert "worker died" in record["message"]
+        assert "worker exitcode 1" in record["message"]
+
+    def test_jobs2_sweep_heals_a_worker_crash(self, tmp_path, monkeypatch):
+        # No supervisor arguments: crash recovery is the default pool's.
+        cfg = make_config()
+        serial = tmp_path / "serial.jsonl"
+        run_sweep(tiny_points(), str(serial), gpu_config=cfg)
+        crash_first_worker_call(monkeypatch, "repro.experiments.sweep._run_point",
+                                tmp_path / "crashed")
+        parallel = tmp_path / "parallel.jsonl"
+        summary = run_sweep(tiny_points(), str(parallel), gpu_config=cfg, jobs=2)
+        assert (tmp_path / "crashed").exists()
+        assert summary.failed == 0
+        assert parallel.read_bytes() == serial.read_bytes()
 
 
 class TestRegistryMemoization:
@@ -341,6 +380,20 @@ class TestPrewarm:
         assert warmed.cycles == direct.cycles
         assert warmed.ipc == direct.ipc
         assert warmed.sim.stats.as_dict() == direct.sim.stats.as_dict()
+
+    def test_prewarm_heals_a_worker_crash(self, tmp_path, monkeypatch):
+        from repro.experiments.figures import figure10
+
+        serial = figure10(["KM"], SCALE)
+        runner.clear_cache()
+        crash_first_worker_call(monkeypatch, "repro.experiments.runner.run",
+                                tmp_path / "crashed")
+        points = figure_points("figure10", ["KM"], SCALE)
+        assert prewarm(points, jobs=2) == len(points)
+        assert (tmp_path / "crashed").exists()
+        assert all(runner.is_cached(*point) for point in points)
+        assert json.dumps(figure10(["KM"], SCALE), sort_keys=True) == \
+            json.dumps(serial, sort_keys=True)
 
     def test_parallel_map_preserves_order(self):
         assert parallel_map(abs, [-3, -1, -2], jobs=2) == [3, 1, 2]

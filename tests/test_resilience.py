@@ -245,7 +245,9 @@ class TestSupervisedPoolRecovery:
         assert resumed.quarantined_skipped == 0
         assert resumed.failed == 0
 
-    def test_pool_degrades_to_serial_and_stays_identical(self, tmp_path, capsys):
+    def test_pool_degrades_to_serial_and_stays_identical(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("repro.resilience.supervisor.DEGRADE_AFTER", 1)
         cfg = make_config()
         serial = tmp_path / "serial.jsonl"
         run_sweep(tiny_points(), str(serial), gpu_config=cfg)
@@ -260,7 +262,7 @@ class TestSupervisedPoolRecovery:
         chaotic = tmp_path / "degraded.jsonl"
         summary = run_sweep(
             tiny_points(), str(chaotic), gpu_config=cfg, jobs=2,
-            supervisor=fast_supervisor(degrade_after=1, max_attempts=5))
+            supervisor=fast_supervisor(max_attempts=5))
         assert summary.failed == 0
         assert chaotic.read_bytes() == serial.read_bytes()
         assert "pool degraded to serial" in capsys.readouterr().err
