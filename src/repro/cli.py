@@ -46,14 +46,18 @@ interrupted sweep resumes where it left off::
     python -m repro sweep --apps KM BFS --configs base apres \\
         --out results.jsonl --resume-from results.jsonl   # only the rest
 
-Resume skips quarantined failure records (deterministic errors,
-supervisor quarantines) instead of re-running them; ``sweep
---retry-failed`` forces a re-attempt. Every ``--jobs N`` pool is
-supervised: a crashed worker's point is requeued with capped jittered
-backoff, a point is quarantined after ``--max-attempts N`` dispatches
-(default 3), and the pool degrades to serial if workers keep dying.
-``sweep --worker-deadline SEC`` adds hang detection: a worker silent for
-SEC seconds is killed and its point requeued.
+A sweep runs each point once: simulation is deterministic, so a failed
+point becomes a failure record instead of being retried, and a runaway
+point is bounded by ``--cycle-budget``/``--watchdog``. Resume re-attempts
+simulation failures but skips quarantined failure records (configuration
+errors, pool quarantines); ``sweep --retry-failed`` forces those too.
+Every ``--jobs N`` pool is supervised: a crashed worker's point is
+requeued with capped jittered backoff, a point whose workers keep dying
+is quarantined after ``--max-attempts N`` dispatches (default 3), a
+point that raises in a worker is recorded once, and the pool degrades to
+serial if workers keep dying. ``sweep --worker-deadline SEC`` adds hang
+detection: a worker silent for SEC seconds is killed and its point
+requeued.
 
 ``run``, ``sweep`` and ``figure`` accept ``--metrics-out FILE`` to dump
 the process-wide operational metrics registry (counters and gauges —
@@ -495,9 +499,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.out,
         gpu_config=_limited_gpu_config(args),
         resume_from=args.resume_from,
-        retries=args.retries,
-        backoff_s=args.backoff,
-        point_timeout_s=args.timeout,
         max_points=args.max_points,
         progress=show_progress,
         telemetry=args.telemetry or bool(args.trace_dir),
@@ -900,12 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--retry-failed", action="store_true",
                          help="with --resume-from: re-attempt quarantined "
                               "failure records instead of skipping them")
-    p_sweep.add_argument("--retries", type=int, default=2, metavar="K",
-                         help="retries per point on transient simulation errors")
-    p_sweep.add_argument("--backoff", type=float, default=0.5, metavar="SEC",
-                         help="base retry backoff (doubles per attempt)")
-    p_sweep.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                         help="wall-clock limit per point")
     p_sweep.add_argument("--max-points", type=int, default=None, metavar="N",
                          help="simulate at most N new points this invocation")
     p_sweep.add_argument("--telemetry", action="store_true",
@@ -922,8 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "seconds (hang detection; crashed workers are "
                               "always requeued)")
     p_sweep.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                         help="quarantine a point after N dispatch attempts "
-                              "(default 3)")
+                         help="quarantine a point after N dispatches whose "
+                              "worker crashed or hung (default 3)")
     add_parallel_flags(p_sweep, cache=True)
     add_integrity_flags(p_sweep)
     add_registry_flag(p_sweep)

@@ -9,11 +9,12 @@ sequential in shape. All of it runs on the one supervised pool,
 dies has its point requeued instead of breaking the run:
 
 * :func:`run_point_tasks` fans sweep points across the pool, running the
-  same integrity wrapper (timeout, retry, failure records) inside each
-  worker and yielding records back as they complete; the sweep driver
-  reorders them into point order so the JSONL store is byte-identical to
-  a serial run. Per-point telemetry heartbeats come back over the pool's
-  result queue and are rendered through one :class:`ProgressWriter`.
+  same wrapper as a serial sweep (one run, failures become records)
+  inside each worker and yielding records back as they complete; the
+  sweep driver reorders them into point order so the JSONL store is
+  byte-identical to a serial run. Per-point telemetry heartbeats come
+  back over the pool's result queue and are rendered through one
+  :class:`ProgressWriter`.
 * :func:`prewarm` simulates runner points in the pool and seeds the
   in-process memoisation cache, so figures/scorecards — which only ever
   call :func:`repro.experiments.runner.run` — parallelise without knowing
@@ -31,7 +32,6 @@ import functools
 import os
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -130,34 +130,23 @@ def _pool(config: Optional[SupervisorConfig] = None) -> SupervisedPool:
 
 @dataclass(frozen=True)
 class PointTask:
-    """One sweep point plus the integrity knobs its worker run needs."""
+    """One sweep point plus the settings its worker run needs."""
 
     index: int
     point: Any  # SweepPoint; typed loosely to avoid an import cycle.
     gpu_config: Optional[GPUConfig]
-    retries: int
-    backoff_s: float
-    point_timeout_s: Optional[float]
     telemetry: bool
     trace_dir: Optional[str]
     telemetry_window: int
 
 
 def _run_point_task(task: PointTask, heartbeats: Any) -> dict:
-    """Worker entry: the sweep integrity wrapper around one point.
-
-    Runs in the pool worker's main thread, so the SIGALRM wall-clock
-    timeout composes exactly as in serial mode.
-    """
+    """Worker entry: the serial sweep's wrapper around one point."""
     from repro.experiments.sweep import _run_point
 
     return _run_point(
         task.point,
         gpu_config=task.gpu_config,
-        retries=task.retries,
-        backoff_s=task.backoff_s,
-        point_timeout_s=task.point_timeout_s,
-        sleep=time.sleep,
         telemetry=task.telemetry,
         trace_dir=task.trace_dir,
         telemetry_window=task.telemetry_window,
@@ -176,7 +165,8 @@ def run_point_tasks(
 
     Yields ``(task.index, record)``, or ``(task.index,``
     :class:`~repro.resilience.supervisor.PointQuarantined` ``)`` for a
-    point whose workers kept dying. The caller owns ordering — see
+    point whose workers kept dying or that raised outside the wrapper.
+    The caller owns ordering — see
     :func:`repro.experiments.sweep.run_sweep`, which holds completed
     records back until every earlier point has flushed. ``supervisor``
     sets the heartbeat deadline and attempt budget; ``heartbeat_writer``
@@ -218,7 +208,8 @@ def prewarm(points: Iterable[RunPoint], jobs: int) -> int:
     deterministic, so a worker-produced result is indistinguishable from
     a local one. A point the pool quarantines is simply not seeded: the
     figure's serial producer re-runs it in-process, where a real error
-    surfaces as an ordinary :class:`~repro.errors.ReproError`.
+    surfaces as an ordinary :class:`~repro.errors.ReproError`. A point
+    whose simulation raises is dispatched once, so it runs twice in all.
     """
     from repro.experiments import runner
 
@@ -252,7 +243,8 @@ def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any], jobs: int) -> l
     ``fn`` must be a module-level callable and every item picklable; the
     ablation sweeps use this to evaluate their non-memoisable APRES
     variants concurrently. An item the pool quarantines raises
-    :class:`~repro.resilience.supervisor.PointQuarantined`.
+    :class:`~repro.resilience.supervisor.PointQuarantined`; an item whose
+    ``fn`` raises is dispatched once, never requeued.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:

@@ -10,9 +10,10 @@ scratch. This driver therefore:
 * on restart (``resume_from``), skips points the store already holds and
   re-simulates only incomplete or previously failed ones — simulation is
   deterministic, so the merged store equals an uninterrupted sweep's;
-* bounds each point with an optional wall-clock timeout and retries
-  transient :class:`SimulationError`\\ s with exponential backoff;
-* records failures as structured JSONL rows instead of killing the sweep.
+* runs each point once and records a failure as a structured JSONL row
+  instead of killing the sweep. Simulation is deterministic, so a point
+  that failed would fail again on an in-process retry; a runaway point is
+  bounded by the cycle budget/watchdog, whose verdict reproduces.
 
 The in-process memoisation cache of :mod:`repro.experiments.runner` is an
 optimisation *within* a process; this store is the source of truth
@@ -23,16 +24,12 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import sys
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import sleep as _default_sleep
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.config import GPUConfig
-from repro.errors import ReproError, SimulationError, WatchdogTimeout
+from repro.errors import ReproError, SimulationError
 from repro.experiments.configs import CONFIGS
 from repro.experiments.runner import RunResult, run
 from repro.resilience.atomic import append_line
@@ -183,7 +180,7 @@ def _point_provenance(point: SweepPoint, base: dict) -> dict:
     }
 
 
-def _ok_record(point: SweepPoint, result: RunResult, attempts: int) -> dict:
+def _ok_record(point: SweepPoint, result: RunResult) -> dict:
     s = result.sim.stats
     record = {
         "format": RESULT_FORMAT,
@@ -192,7 +189,7 @@ def _ok_record(point: SweepPoint, result: RunResult, attempts: int) -> dict:
         "config": point.config_name,
         "scale": point.scale,
         "status": "ok",
-        "attempts": attempts,
+        "attempts": 1,
         "cycles": s.cycles,
         "instructions": s.instructions,
         "ipc": s.ipc,
@@ -205,13 +202,13 @@ def _ok_record(point: SweepPoint, result: RunResult, attempts: int) -> dict:
     return record
 
 
-def _failure_record(point: SweepPoint, exc: ReproError, attempts: int,
+def _failure_record(point: SweepPoint, exc: ReproError, attempts: int = 1,
                     quarantined: bool = True) -> dict:
     """Structured failure row. ``quarantined`` marks failures that resume
-    should *skip* rather than retry: deterministic errors and supervisor
-    quarantines (a point that failed ``max_attempts`` times in one run).
-    Transient failures (an exhausted retry budget) pass ``False`` so the
-    next resume re-attempts them.
+    should *skip* rather than re-attempt: configuration/workload errors
+    and pool quarantines. A :class:`SimulationError` passes ``False`` so
+    the next resume (say, under a larger cycle budget) re-attempts it.
+    ``attempts`` counts pool dispatches; a point that ran once says 1.
     """
     return {
         "format": RESULT_FORMAT,
@@ -226,33 +223,6 @@ def _failure_record(point: SweepPoint, exc: ReproError, attempts: int,
         "details": exc.details,
         "quarantined": bool(quarantined),
     }
-
-
-@contextmanager
-def _wall_clock_limit(seconds: Optional[float], key: str):
-    """SIGALRM-based per-point timeout (main thread only; no-op elsewhere)."""
-    usable = (
-        seconds
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    def _on_alarm(signum, frame):
-        raise WatchdogTimeout(
-            f"sweep point {key} exceeded wall-clock timeout of {seconds}s",
-            details={"kind": "wall-clock", "timeout_s": seconds, "key": key},
-        )
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _cached_record(registry: Any, point: SweepPoint, provenance: dict
@@ -311,11 +281,7 @@ def run_sweep(
     *,
     gpu_config: Optional[GPUConfig] = None,
     resume_from: Optional[str] = None,
-    retries: int = 2,
-    backoff_s: float = 0.5,
-    point_timeout_s: Optional[float] = None,
     max_points: Optional[int] = None,
-    sleep: Callable[[float], None] = _default_sleep,
     progress: Optional[Callable[[SweepPoint, dict], None]] = None,
     telemetry: bool = False,
     trace_dir: Optional[str] = None,
@@ -329,18 +295,21 @@ def run_sweep(
 ) -> SweepSummary:
     """Run every point, persisting each result to ``out_path`` as it lands.
 
+    Each point runs once: a failure is final for this invocation and
+    becomes a failure record (``"attempts": 1``).
+
     ``resume_from`` names an earlier (possibly interrupted) store whose
     completed points are skipped; pointing it at ``out_path`` itself makes
     the sweep restartable in place. Failure records marked
-    ``"quarantined": true`` (deterministic errors, supervisor
+    ``"quarantined": true`` (configuration/workload errors, pool
     quarantines) are *also* skipped on resume —
     re-running them would poison the sweep again — and reported via
     ``quarantined_skipped`` / ``quarantined_keys`` in the summary;
-    ``retry_failed`` forces them back into the pending set instead.
+    ``retry_failed`` forces them back into the pending set instead. Every
+    other failure is re-attempted on resume.
     ``max_points`` bounds how many points
     are *processed* (simulated or cache-replayed) this invocation (skips
-    are free) — useful for smoke tests and incremental fills. ``sleep`` is
-    injectable so tests can verify backoff without waiting.
+    are free) — useful for smoke tests and incremental fills.
 
     With ``telemetry`` every simulated point gets a stall-attribution
     breakdown (reconciled exactly against its counters) folded into its
@@ -359,10 +328,10 @@ def run_sweep(
     ``jobs > 1`` spreads the points across the supervised process pool
     (:mod:`repro.experiments.parallel`); completed records stream back and
     are appended strictly in point order, so the JSONL output is
-    byte-identical to a serial sweep. A worker that dies has its point
-    requeued; a point that keeps killing workers becomes a quarantined
-    failure record. All persistence (store, registry) stays in the
-    parent. ``heartbeat_writer`` (a
+    byte-identical to a serial sweep. A worker that crashes or hangs has
+    its point requeued; a point that keeps killing workers becomes a
+    quarantined failure record. All persistence (store, registry) stays
+    in the parent. ``heartbeat_writer`` (a
     :class:`~repro.experiments.parallel.ProgressWriter`) merges per-worker
     telemetry heartbeats into one stream when telemetry is enabled.
     ``supervisor`` (a :class:`~repro.resilience.SupervisorConfig`) sets
@@ -442,8 +411,7 @@ def run_sweep(
     if jobs > 1 and pending:
         _run_pending_parallel(
             pending, provenances, flush,
-            gpu_config=gpu_config, retries=retries, backoff_s=backoff_s,
-            point_timeout_s=point_timeout_s,
+            gpu_config=gpu_config,
             telemetry=telemetry or trace_dir is not None,
             trace_dir=trace_dir, telemetry_window=telemetry_window,
             cache_lookup=cache_lookup if caching else None, jobs=jobs,
@@ -460,10 +428,6 @@ def run_sweep(
         record = _run_point(
             point,
             gpu_config=gpu_config,
-            retries=retries,
-            backoff_s=backoff_s,
-            point_timeout_s=point_timeout_s,
-            sleep=sleep,
             telemetry=telemetry or trace_dir is not None,
             trace_dir=trace_dir,
             telemetry_window=telemetry_window,
@@ -479,9 +443,6 @@ def _run_pending_parallel(
     flush: Callable[[SweepPoint, dict, bool], None],
     *,
     gpu_config: Optional[GPUConfig],
-    retries: int,
-    backoff_s: float,
-    point_timeout_s: Optional[float],
     telemetry: bool,
     trace_dir: Optional[str],
     telemetry_window: int,
@@ -517,8 +478,7 @@ def _run_pending_parallel(
             continue
         tasks.append(PointTask(
             index=index, point=point, gpu_config=gpu_config,
-            retries=retries, backoff_s=backoff_s,
-            point_timeout_s=point_timeout_s, telemetry=telemetry,
+            telemetry=telemetry,
             trace_dir=trace_dir, telemetry_window=telemetry_window,
         ))
 
@@ -553,58 +513,44 @@ def _run_point(
     point: SweepPoint,
     *,
     gpu_config: Optional[GPUConfig],
-    retries: int,
-    backoff_s: float,
-    point_timeout_s: Optional[float],
-    sleep: Callable[[float], None],
     telemetry: bool = False,
     trace_dir: Optional[str] = None,
     telemetry_window: int = 5_000,
     heartbeat_sink: Optional[Any] = None,
 ) -> dict:
-    """Simulate one point with timeout + bounded retry; never raises
-    :class:`ReproError` — failures become records.
+    """Simulate one point once; never raises :class:`ReproError` —
+    a failure becomes its record.
 
     ``heartbeat_sink`` (an interval sink) is attached to the telemetry hub
     when one is built; pool workers use it to stream heartbeats back to
     the parent process.
     """
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            hub = None
-            if telemetry:
-                from repro.telemetry import TelemetryHub
+    hub = None
+    if telemetry:
+        from repro.telemetry import TelemetryHub
 
-                # One hub per attempt: a hub binds to a single simulator.
-                hub = TelemetryHub(
-                    window=telemetry_window, trace=trace_dir is not None
-                )
-                if heartbeat_sink is not None:
-                    hub.add_interval_sink(heartbeat_sink)
-            with _wall_clock_limit(point_timeout_s, point.key):
-                result = run(
-                    point.workload,
-                    point.config_name,
-                    scale=point.scale,
-                    gpu_config=gpu_config,
-                    telemetry=hub,
-                )
-            record = _ok_record(point, result, attempts)
-            if hub is not None:
-                _attach_telemetry(record, point, result, hub, trace_dir)
-            return record
-        except SimulationError as exc:
-            if attempts > retries:
-                # Transient by assumption (timeouts, livelocks): a resume —
-                # possibly under a healthier config — re-attempts these.
-                return _failure_record(point, exc, attempts,
-                                       quarantined=False)
-            sleep(backoff_s * (2 ** (attempts - 1)))
-        except ReproError as exc:
-            # Config/workload errors are deterministic; retrying cannot help.
-            return _failure_record(point, exc, attempts)
+        hub = TelemetryHub(window=telemetry_window, trace=trace_dir is not None)
+        if heartbeat_sink is not None:
+            hub.add_interval_sink(heartbeat_sink)
+    try:
+        result = run(
+            point.workload,
+            point.config_name,
+            scale=point.scale,
+            gpu_config=gpu_config,
+            telemetry=hub,
+        )
+        record = _ok_record(point, result)
+        if hub is not None:
+            _attach_telemetry(record, point, result, hub, trace_dir)
+        return record
+    except SimulationError as exc:
+        # It would recur on a retry with these settings, but a resume under
+        # a larger cycle budget (or a fixed simulator) re-attempts it.
+        return _failure_record(point, exc, quarantined=False)
+    except ReproError as exc:
+        # Config/workload errors: resume skips these unless --retry-failed.
+        return _failure_record(point, exc)
 
 
 def _attach_telemetry(

@@ -15,7 +15,8 @@ that layer:
   ``--jobs N`` path: crashed workers (and, with a heartbeat deadline,
   hung ones) are killed and their points requeued with capped
   exponential backoff and deterministic jitter, poisoned points are
-  quarantined after N attempts, and a pool that keeps dying degrades
+  quarantined after N attempts, a point that raises is quarantined at
+  once (never requeued), and a pool that keeps dying degrades
   gracefully to in-parent serial execution.
 * :mod:`repro.resilience.fsck` — registry self-healing: detect truncated
   JSONL tails, hash mismatches, duplicate records and orphaned/missing

@@ -96,10 +96,7 @@ def run_chaos(
     seed: int = 0,
     out_dir: Optional[str] = None,
     deadline_s: float = 5.0,
-    heartbeat_interval_s: float = 0.1,
     max_attempts: int = 3,
-    backoff_base_s: float = 0.1,
-    backoff_cap_s: float = 0.5,
     epoch: float = DEFAULT_EPOCH,
 ) -> ChaosReport:
     """Run the chaos experiment; see the module docstring for the shape.
@@ -139,13 +136,7 @@ def run_chaos(
 
         # 2. Chaotic run: armed plan, supervised pool.
         supervisor = SupervisorConfig(
-            deadline_s=deadline_s,
-            heartbeat_interval_s=heartbeat_interval_s,
-            max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
-            backoff_cap_s=backoff_cap_s,
-            seed=seed,
-        )
+            deadline_s=deadline_s, max_attempts=max_attempts, seed=seed)
         faults.arm(plan)
         try:
             summary = run_sweep(

@@ -26,6 +26,9 @@ forever. This pool is built against both:
   ``max_attempts`` dispatches: the pool yields :class:`PointQuarantined`
   for it (the sweep driver turns that into a structured failure record
   marked ``"quarantined": true``) and the run continues.
+* an item whose ``fn`` *raises* is quarantined on that dispatch, with no
+  requeue: the work is deterministic, so the same exception would come
+  back on every retry. Only process faults (crash, hang) are requeued.
 * if the pool keeps dying (:data:`DEGRADE_AFTER` worker deaths), it stops
   spawning replacements and **degrades gracefully to serial** in-parent
   execution of the remaining items.
@@ -59,7 +62,9 @@ from repro.telemetry.metrics import get_registry
 
 class PointQuarantined(ReproError):
     """A pool item (a sweep point, a prewarm point, an ablation variant)
-    was abandoned after exhausting its dispatch attempts.
+    was abandoned: its workers kept crashing or hanging until it exhausted
+    its dispatch attempts, or ``fn`` raised on it (final on the first
+    dispatch).
 
     ``details`` carries ``kind`` (``worker-hang`` / ``worker-crash`` /
     ``worker-error``), the attempt count, and ``quarantined: True`` — the
@@ -74,6 +79,12 @@ JITTER_FRAC = 0.25
 DEGRADE_AFTER = 6
 #: Parent poll period while waiting for worker messages.
 POLL_INTERVAL_S = 0.05
+#: Worker-side heartbeat period; keep well under any ``deadline_s``.
+HEARTBEAT_INTERVAL_S = 0.2
+#: First-requeue backoff; doubles per subsequent attempt.
+BACKOFF_BASE_S = 0.25
+#: Ceiling on the exponential backoff.
+BACKOFF_CAP_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -83,14 +94,9 @@ class SupervisorConfig:
     #: Escalate an assigned worker silent for this long (None: hang
     #: detection off; crash detection needs no heartbeats and stays on).
     deadline_s: Optional[float] = None
-    #: Worker-side heartbeat period; keep well under ``deadline_s``.
-    heartbeat_interval_s: float = 0.2
-    #: Total dispatches per item before quarantine.
+    #: Total dispatches per item before a crashing/hanging one is
+    #: quarantined.
     max_attempts: int = 3
-    #: First-requeue backoff; doubles per subsequent attempt.
-    backoff_base_s: float = 0.25
-    #: Ceiling on the exponential backoff.
-    backoff_cap_s: float = 5.0
     #: Seed for the jitter stream (paired with item index + attempt).
     seed: int = 0
 
@@ -171,11 +177,10 @@ class SupervisedPool:
             self._on_event(message)
 
     def _backoff_delay(self, index: int, attempt: int) -> float:
-        cfg = self.config
-        base = min(cfg.backoff_cap_s,
-                   cfg.backoff_base_s * (2 ** max(0, attempt - 2)))
-        jitter = random.Random(f"{cfg.seed}:{index}:{attempt}").uniform(
-            0.0, JITTER_FRAC)
+        base = min(BACKOFF_CAP_S,
+                   BACKOFF_BASE_S * (2 ** max(0, attempt - 2)))
+        seed = f"{self.config.seed}:{index}:{attempt}"
+        jitter = random.Random(seed).uniform(0.0, JITTER_FRAC)
         return base * (1.0 + jitter)
 
     def _spawn_worker(self) -> int:
@@ -186,7 +191,7 @@ class SupervisedPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, fn, task_queue, result_queue, plan,
-                  self.config.heartbeat_interval_s),
+                  HEARTBEAT_INTERVAL_S),
             daemon=True,
         )
         proc.start()
@@ -233,7 +238,8 @@ class SupervisedPool:
         not forked) and every item picklable. ``telemetry.put(payload)``
         inside ``fn`` hands ``payload`` to ``on_telemetry`` in the parent.
         Every index is yielded exactly once: ``fn``'s return value, or
-        :class:`PointQuarantined` after escalation exhausts its attempts.
+        :class:`PointQuarantined` — at once if ``fn`` raised, after
+        ``max_attempts`` dispatches if its workers kept crashing/hanging.
         An item's index is also its fault-plan key (``worker.point``).
         """
         if not items:
@@ -249,30 +255,37 @@ class SupervisedPool:
         result_queue = self._ctx.Queue()
         self._spawn_args = (fn, result_queue, faults.ACTIVE)
 
+        def quarantine(index: int, kind: str,
+                       detail: str) -> PointQuarantined:
+            """Abandon ``index`` after its dispatches so far."""
+            attempt = attempts[index]
+            completed.add(index)
+            self._event(
+                f"quarantined point {index} after {attempt} "
+                f"attempts ({kind}: {detail})")
+            get_registry().counter("pool.worker.quarantines").inc()
+            flight.record("pool.quarantine", index=index,
+                          attempts=attempt, cause=kind)
+            flight.dump("pool-quarantine", details={
+                "index": index, "attempts": attempt,
+                "kind": kind, "detail": detail,
+            })
+            return PointQuarantined(
+                f"point abandoned after {attempt} attempts "
+                f"({kind}: {detail})",
+                details={"kind": kind, "attempts": attempt,
+                         "quarantined": True},
+            )
+
         def escalate(index: int, kind: str,
                      detail: str) -> Optional[PointQuarantined]:
-            """Account one failed dispatch; requeue or quarantine."""
+            """Account one crashed/hung dispatch; requeue or quarantine."""
             nonlocal seq
             if index in completed:
                 return None
             attempt = attempts[index]
             if attempt >= cfg.max_attempts:
-                self._event(
-                    f"quarantined point {index} after {attempt} "
-                    f"attempts ({kind}: {detail})")
-                get_registry().counter("pool.worker.quarantines").inc()
-                flight.record("pool.quarantine", index=index,
-                              attempts=attempt, cause=kind)
-                flight.dump("pool-quarantine", details={
-                    "index": index, "attempts": attempt,
-                    "kind": kind, "detail": detail,
-                })
-                return PointQuarantined(
-                    f"point abandoned after {attempt} attempts "
-                    f"({kind}: {detail})",
-                    details={"kind": kind, "attempts": attempt,
-                             "quarantined": True},
-                )
+                return quarantine(index, kind, detail)
             delay = self._backoff_delay(index, attempt + 1)
             self._event(
                 f"requeueing point {index} (attempt "
@@ -340,16 +353,14 @@ class SupervisedPool:
                     if (worker_id in self._workers
                             and worker_id not in self._idle):
                         self._idle.append(worker_id)
+                    if index in completed:
+                        continue
                     if kind == "done":
-                        if index not in completed:
-                            completed.add(index)
-                            yield index, message[3]
-                    else:  # "error": fn raised inside the worker
-                        quarantine = escalate(index, "worker-error",
-                                              message[3])
-                        if quarantine is not None:
-                            completed.add(index)
-                            yield index, quarantine
+                        completed.add(index)
+                        yield index, message[3]
+                    else:  # "error": fn raised — deterministic, so final
+                        yield index, quarantine(index, "worker-error",
+                                                message[3])
 
                 now = time.monotonic()
                 # Hang detection: assigned worker silent past the deadline.
@@ -374,12 +385,11 @@ class SupervisedPool:
                             "worker": worker_id, "index": assignment.index,
                             "silent_s": round(silent, 2),
                         })
-                        quarantine = escalate(
+                        abandoned = escalate(
                             assignment.index, "worker-hang",
                             f"no heartbeat for {silent:.1f}s")
-                        if quarantine is not None:
-                            completed.add(assignment.index)
-                            yield assignment.index, quarantine
+                        if abandoned is not None:
+                            yield assignment.index, abandoned
                         self._maybe_respawn()
 
                 # Crash detection: a worker process that died outright.
@@ -405,12 +415,11 @@ class SupervisedPool:
                         self._event(
                             f"worker {worker_id} died on point "
                             f"{assignment.index} (exitcode {exitcode})")
-                        quarantine = escalate(
+                        abandoned = escalate(
                             assignment.index, "worker-crash",
                             f"worker exitcode {exitcode}")
-                        if quarantine is not None:
-                            completed.add(assignment.index)
-                            yield assignment.index, quarantine
+                        if abandoned is not None:
+                            yield assignment.index, abandoned
                     else:
                         self._event(
                             f"idle worker {worker_id} died "

@@ -8,6 +8,7 @@ is deterministic and all persistence stays in the parent process.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_config
+from repro.errors import WatchdogTimeout
 from repro.experiments import runner
 from repro.experiments.configs import CONFIGS
 from repro.experiments.parallel import (
@@ -34,7 +36,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.sweep import ResultsStore, run_sweep, sweep_points
 from repro.registry.store import RegistryStore
-from repro.resilience.supervisor import SupervisorConfig
+from repro.resilience.supervisor import PointQuarantined, SupervisorConfig
 from repro.sm.simulator import simulate
 from repro.telemetry import TelemetryHub
 from repro.telemetry.export import InMemorySink
@@ -73,6 +75,13 @@ def crash_first_worker_call(monkeypatch, target, marker):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(target, dies_once)
+
+
+def _mark_and_raise(marker: str) -> None:
+    """parallel_map target: leave one mark per call, then fail."""
+    with open(marker, "a", encoding="utf-8") as fh:
+        fh.write("x")
+    raise TypeError(f"bad item {marker}")
 
 
 @pytest.fixture(autouse=True)
@@ -199,18 +208,16 @@ class TestParallelSweepIdentity:
         assert record["stalls"]["top_cause"]
 
     def test_parallel_failure_records_match_serial(self, tmp_path):
-        doomed = make_config()
-        import dataclasses
-
-        doomed = dataclasses.replace(doomed, max_cycles=60)
+        doomed = dataclasses.replace(make_config(), max_cycles=60)
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        run_sweep(tiny_points(), str(serial), gpu_config=doomed,
-                  retries=0, sleep=lambda s: None)
+        run_sweep(tiny_points(), str(serial), gpu_config=doomed)
         summary = run_sweep(tiny_points(), str(parallel), gpu_config=doomed,
-                            retries=0, jobs=2)
+                            jobs=2)
         assert summary.failed == len(tiny_points())
         assert serial.read_bytes() == parallel.read_bytes()
+        records = ResultsStore(str(parallel)).load().values()
+        assert [r["attempts"] for r in records] == [1] * len(tiny_points())
 
     def test_worker_crash_becomes_failure_record(self, tmp_path, monkeypatch):
         # A point whose worker dies on every attempt is quarantined as a
@@ -219,11 +226,11 @@ class TestParallelSweepIdentity:
             os._exit(1)
 
         monkeypatch.setattr("repro.experiments.sweep._run_point", dies)
+        monkeypatch.setattr("repro.resilience.supervisor.BACKOFF_BASE_S", 0.01)
         out = tmp_path / "crash.jsonl"
         summary = run_sweep(tiny_points(apps=["BFS"], configs=("base",)),
                             str(out), gpu_config=make_config(), jobs=2,
-                            supervisor=SupervisorConfig(max_attempts=2,
-                                                        backoff_base_s=0.01))
+                            supervisor=SupervisorConfig(max_attempts=2))
         assert summary.failed == 1
         record = next(iter(ResultsStore(str(out)).load().values()))
         assert record["status"] == "failed"
@@ -298,17 +305,15 @@ class TestRegistryMemoization:
         assert summary.simulated == len(APPS)
 
     def test_failures_are_never_memoised(self, tmp_path):
-        import dataclasses
-
         registry = RegistryStore(tmp_path / "reg")
         doomed = dataclasses.replace(make_config(), max_cycles=60)
         run_sweep(tiny_points(apps=["BFS"], configs=("base",)),
                   str(tmp_path / "a.jsonl"), gpu_config=doomed,
-                  retries=0, sleep=lambda s: None, registry=registry)
+                  registry=registry)
         # Same identity, healthy config: must simulate, not replay a failure.
         summary = run_sweep(tiny_points(apps=["BFS"], configs=("base",)),
                             str(tmp_path / "b.jsonl"), gpu_config=doomed,
-                            retries=0, sleep=lambda s: None, registry=registry)
+                            registry=registry)
         assert summary.cache_hits == 0
 
 
@@ -398,6 +403,47 @@ class TestPrewarm:
     def test_parallel_map_preserves_order(self):
         assert parallel_map(abs, [-3, -1, -2], jobs=2) == [3, 1, 2]
         assert parallel_map(abs, [-3, -1, -2], jobs=1) == [3, 1, 2]
+
+    def test_parallel_map_error_is_dispatched_once(self, tmp_path, capsys):
+        # The function is deterministic, so raising is final: no requeue.
+        markers = [str(tmp_path / "a"), str(tmp_path / "b")]
+        with pytest.raises(PointQuarantined) as caught:
+            parallel_map(_mark_and_raise, markers, jobs=2)
+        assert caught.value.details["kind"] == "worker-error"
+        assert caught.value.details["attempts"] == 1
+        assert "TypeError" in str(caught.value)
+        assert [Path(m).read_text() for m in markers] == ["x", "x"]
+        assert "requeueing" not in capsys.readouterr().err
+
+    def test_prewarm_runs_a_failing_point_once(self, tmp_path, monkeypatch):
+        # One dispatch per point in the pool; the figure's serial producer
+        # then re-runs the unseeded point and raises the real error.
+        from repro.experiments import configs
+        from repro.experiments.figures import figure10
+
+        doomed = dataclasses.replace(make_config(), max_cycles=60)
+        monkeypatch.setattr(configs, "experiment_gpu_config",
+                            lambda *args, **kwargs: doomed)
+        monkeypatch.setattr(runner, "experiment_gpu_config",
+                            lambda *args, **kwargs: doomed)
+        log = tmp_path / "runs.log"
+        original = runner.run
+
+        def logged(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {args[:2]}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run", logged)
+        points = figure_points("figure10", ["KM"], SCALE)
+        assert prewarm(points, jobs=2) == len(points)
+        worker_runs = [line.split(" ", 1)[1]
+                       for line in log.read_text().splitlines()
+                       if int(line.split(" ", 1)[0]) != os.getpid()]
+        assert sorted(worker_runs) == sorted(str(p[:2]) for p in points)
+        assert not any(runner.is_cached(*point) for point in points)
+        with pytest.raises(WatchdogTimeout):
+            figure10(["KM"], SCALE)
 
     def test_scorecard_identical_at_jobs4(self):
         from repro.registry.scorecard import scorecard

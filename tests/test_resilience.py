@@ -23,7 +23,7 @@ from conftest import make_config
 from repro.experiments import runner
 from repro.experiments.sweep import ResultsStore, run_sweep, sweep_points
 from repro.registry.store import RegistryStore
-from repro.resilience import faults
+from repro.resilience import faults, supervisor
 from repro.resilience.atomic import append_line
 from repro.resilience.chaos import format_chaos, run_chaos
 from repro.resilience.faults import FaultEvent, FaultPlan, corrupt_last_record
@@ -55,11 +55,17 @@ def disarmed():
     faults.disarm()
 
 
-def fast_supervisor(**overrides):
-    defaults = dict(deadline_s=2.0, heartbeat_interval_s=0.1,
-                    backoff_base_s=0.05, backoff_cap_s=0.2)
-    defaults.update(overrides)
-    return SupervisorConfig(**defaults)
+@pytest.fixture
+def fast_supervisor(monkeypatch):
+    """SupervisorConfig factory on a pool with short heartbeats/backoffs."""
+    monkeypatch.setattr(supervisor, "HEARTBEAT_INTERVAL_S", 0.1)
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.05)
+    monkeypatch.setattr(supervisor, "BACKOFF_CAP_S", 0.2)
+
+    def make(**overrides):
+        return SupervisorConfig(**{"deadline_s": 2.0, **overrides})
+
+    return make
 
 
 class TestAtomicAppend:
@@ -151,7 +157,8 @@ class TestFaultPlan:
 
 
 class TestSupervisedPoolRecovery:
-    def test_worker_crash_is_requeued_byte_identically(self, tmp_path, capsys):
+    def test_worker_crash_is_requeued_byte_identically(
+            self, tmp_path, capsys, fast_supervisor):
         cfg = make_config()
         serial = tmp_path / "serial.jsonl"
         run_sweep(tiny_points(), str(serial), gpu_config=cfg)
@@ -167,7 +174,8 @@ class TestSupervisedPoolRecovery:
         assert "died on point" in err
         assert "requeueing point" in err
 
-    def test_sigstop_hang_is_escalated_byte_identically(self, tmp_path, capsys):
+    def test_sigstop_hang_is_escalated_byte_identically(
+            self, tmp_path, capsys, fast_supervisor):
         """Satellite: a worker SIGSTOPs itself under --jobs 2; the
         heartbeat deadline kills it and the requeued attempt converges."""
         cfg = make_config()
@@ -184,7 +192,7 @@ class TestSupervisedPoolRecovery:
         err = capsys.readouterr().err
         assert "missed its heartbeat deadline" in err
 
-    def test_poisoned_point_is_quarantined(self, tmp_path):
+    def test_poisoned_point_is_quarantined(self, tmp_path, fast_supervisor):
         cfg = make_config()
         faults.arm(FaultPlan(events=[
             FaultEvent("worker.point", 0, "crash", every_attempt=True)]))
@@ -202,7 +210,8 @@ class TestSupervisedPoolRecovery:
         assert failed[0]["details"]["kind"] == "worker-crash"
         assert failed[0]["attempts"] == 2
 
-    def test_resume_skips_quarantined_then_retry_failed_heals(self, tmp_path):
+    def test_resume_skips_quarantined_then_retry_failed_heals(
+            self, tmp_path, fast_supervisor):
         cfg = make_config()
         reference = tmp_path / "ref.jsonl"
         run_sweep(tiny_points(), str(reference), gpu_config=cfg)
@@ -229,13 +238,13 @@ class TestSupervisedPoolRecovery:
 
     def test_serial_exhausted_retries_stay_retryable_on_resume(self, tmp_path):
         # A SimulationError (here: a watchdog timeout from a doomed cycle
-        # budget) is transient by assumption — resume re-attempts it, and
-        # a healthier config heals the store. Only deterministic errors
-        # and supervisor quarantines are skipped on resume.
+        # budget) runs once and is not quarantined — resume re-attempts
+        # it, and a healthier config heals the store. Only configuration
+        # errors and pool quarantines are skipped on resume.
         doomed = dataclasses.replace(make_config(), max_cycles=60)
         out = tmp_path / "doomed.jsonl"
         first = run_sweep(tiny_points(apps=["BFS"]), str(out),
-                          gpu_config=doomed, retries=0, sleep=lambda s: None)
+                          gpu_config=doomed)
         assert first.failed == 1
         record = next(iter(ResultsStore(str(out)).load().values()))
         assert record["quarantined"] is False
@@ -246,7 +255,7 @@ class TestSupervisedPoolRecovery:
         assert resumed.failed == 0
 
     def test_pool_degrades_to_serial_and_stays_identical(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, fast_supervisor):
         monkeypatch.setattr("repro.resilience.supervisor.DEGRADE_AFTER", 1)
         cfg = make_config()
         serial = tmp_path / "serial.jsonl"
@@ -270,7 +279,7 @@ class TestSupervisedPoolRecovery:
 
 class TestFlightDumpOnWorkerCrash:
     def test_poisoned_point_leaves_a_flight_dump_beside_quarantine(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, fast_supervisor):
         dump_dir = tmp_path / "dumps"
         monkeypatch.setenv("REPRO_DUMP_DIR", str(dump_dir))
         faults.arm(FaultPlan(events=[
