@@ -14,7 +14,8 @@ Quick start::
     print(result.ipc, speedup("BFS", "apres", scale=0.3))
 """
 
-from repro.analysis import run_lint
+from typing import Any
+
 from repro.config import APRESConfig, CacheConfig, DRAMConfig, GPUConfig
 from repro.core import APRESPair, LAWSScheduler, SAPPrefetcher, build_apres, hardware_cost
 from repro.errors import (
@@ -87,3 +88,13 @@ __all__ = [
     "workload",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # The linter is loaded on first use, so importing repro (and every
+    # CLI command but `lint`) does not import repro.analysis.
+    if name == "run_lint":
+        from repro.analysis import run_lint
+
+        return run_lint
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,27 +1,22 @@
 """simlint: simulator-aware static analysis for the APRES reproduction.
 
-An AST-based lint pass that proves — before any cycle is simulated — the
-properties the runtime integrity layer (:mod:`repro.integrity`) can only
-check after hours of simulation have burned:
+An AST-based lint pass for defects that no runtime test catches — each
+rule is kept only because a mutation it flags passes the tier-1 suite
+(DESIGN.md § "Static analysis (simlint)" names the mutation):
 
-* **SL001 determinism** — no hash-order iteration, ``id()`` ordering, or
-  unseeded ``random`` in simulator hot paths;
-* **SL002 picklability** — no lambdas/closures/local classes stored on
-  the checkpointable object graph (they break
-  ``GPUSimulator.snapshot()``);
-* **SL003 counter hygiene** — every stats counter declared in
-  :mod:`repro.stats.counters` and actually updated;
-* **SL004 registry completeness** — every scheduler/prefetcher class
-  registered, every registry entry resolvable;
-* **SL005 frozen-config mutation** — configs change only through
-  ``dataclasses.replace``;
-* **SL006 paper-golden completeness** — every figure/table producer has
-  golden paper data and a scorecard spec, and vice versa;
+* **SL003 counter hygiene** — every stats counter updated is declared in
+  a ``*Stats`` dataclass, and every declared counter is updated;
+* **SL004 registry keys** — no module-level registry literal repeats a
+  key (the later entry silently wins);
 * **SL007 hot-path slots** — ``sm``/``mem`` classes declare
-  ``__slots__`` and stay picklable across the process-pool boundary.
+  ``__slots__`` and stay picklable across the process-pool boundary;
+* **SL008 robust I/O** — no swallowed failures or torn writes in the
+  persistence packages;
+* **SL010 hidden global state** — no module-level mutable mutated from
+  the hot packages' call paths.
 
 Run it with ``python -m repro lint [PATH ...]``; suppress one line with
-``# simlint: ignore[SL001]``. See DESIGN.md § "Static analysis".
+``# simlint: ignore[SL008]``.
 """
 
 from repro.analysis.engine import (

@@ -15,7 +15,6 @@ from __future__ import annotations
 import abc
 import ast
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar, Iterable, Mapping, Optional, Sequence
@@ -28,7 +27,7 @@ PARSE_RULE = "SL000"
 
 #: Package-directory names whose modules form the simulator's hot path /
 #: checkpointable object graph. Rules that would be too noisy repo-wide
-#: (dict-view iteration order, closure storage) only apply here.
+#: (hidden global state) only apply here.
 HOT_PACKAGES = frozenset({"sm", "mem", "sched", "prefetch", "core", "integrity", "stats"})
 
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*ignore(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?")
@@ -74,13 +73,6 @@ class Project:
 
     modules: list[ModuleInfo]
 
-    def by_directory(self) -> dict[Path, list[ModuleInfo]]:
-        """Group modules by parent directory (≈ by package)."""
-        grouped: dict[Path, list[ModuleInfo]] = {}
-        for module in self.modules:
-            grouped.setdefault(module.path.parent, []).append(module)
-        return grouped
-
 
 class Reporter:
     """Accumulates findings on behalf of rules."""
@@ -115,7 +107,7 @@ class Rule(abc.ABC):
 
     ``check_module`` runs once per file; ``finish`` runs once per lint
     invocation after every file has been seen, which is where cross-module
-    rules (counter hygiene, registry completeness) emit their findings.
+    rules (counter hygiene, from-imported global state) emit their findings.
     Rule instances are created fresh for every run, so accumulating state
     on ``self`` between ``check_module`` calls is safe.
     """
@@ -138,12 +130,6 @@ class LintResult:
     findings: list[Finding]
     files_scanned: int
     rules: dict[str, str]
-    project: Project
-    #: Populated by the CLI when ``--verify-against-runtime`` ran.
-    runtime_check: Optional[dict[str, Any]] = None
-    #: Run statistics (files / rules / findings / elapsed / parse cache),
-    #: printed by ``--stats``; not part of the stable JSON schema.
-    run_stats: dict[str, Any] = field(default_factory=dict, compare=False)
 
     @property
     def clean(self) -> bool:
@@ -164,7 +150,6 @@ class LintResult:
             "rules": self.rules,
             "findings": [f.as_dict() for f in self.findings],
             "summary": {"total": len(self.findings), "by_rule": self.by_rule()},
-            "runtime_check": self.runtime_check,
         }
 
 
@@ -172,7 +157,7 @@ def parse_suppressions(lines: Sequence[str]) -> dict[int, frozenset[str]]:
     """Map line numbers to suppressed rule codes.
 
     ``# simlint: ignore`` suppresses every rule on its line;
-    ``# simlint: ignore[SL001, SL003]`` suppresses just those codes.
+    ``# simlint: ignore[SL003, SL008]`` suppresses just those codes.
     """
     suppressions: dict[int, frozenset[str]] = {}
     for lineno, text in enumerate(lines, start=1):
@@ -195,8 +180,7 @@ def _decorator_owners(tree: ast.Module) -> dict[int, int]:
     """Map every decorator line to the line of its ``def``/``class``.
 
     A ``# simlint: ignore[...]`` on a decorated definition line then also
-    covers findings that rules anchor to the decorator expressions above it
-    (SL002/SL007 report at decorator nodes for decorator-related findings).
+    covers findings that rules anchor to the decorator expressions above it.
     """
     owners: dict[int, int] = {}
     for node in ast.walk(tree):
@@ -283,7 +267,7 @@ def _load_uncached(path: Path, display: str) -> "ModuleInfo | Finding":
     )
 
 
-def load_module(path: Path, cache_stats: Optional[dict[str, int]] = None) -> "ModuleInfo | Finding":
+def load_module(path: Path) -> "ModuleInfo | Finding":
     """Parse one file; a syntax error becomes an ``SL000`` finding.
 
     Results are cached per resolved path, keyed by ``(mtime_ns, size)``, so
@@ -300,8 +284,6 @@ def load_module(path: Path, cache_stats: Optional[dict[str, int]] = None) -> "Mo
     stamp = (stat.st_mtime_ns, stat.st_size)
     cached = _MODULE_CACHE.get(resolved)
     if cached is not None and cached[0] == stamp:
-        if cache_stats is not None:
-            cache_stats["hits"] = cache_stats.get("hits", 0) + 1
         entry = cached[1]
         if entry.display_path == display:
             return entry
@@ -317,15 +299,13 @@ def load_module(path: Path, cache_stats: Optional[dict[str, int]] = None) -> "Mo
             suppressions=entry.suppressions,
             decorator_owner=entry.decorator_owner,
         )
-    if cache_stats is not None:
-        cache_stats["misses"] = cache_stats.get("misses", 0) + 1
     loaded = _load_uncached(path, display)
     _MODULE_CACHE[resolved] = (stamp, loaded)
     return loaded
 
 
 def default_rules() -> list[Rule]:
-    """Fresh instances of every registered rule (SL001–SL011)."""
+    """Fresh instances of every registered rule."""
     from repro.analysis.rules import build_all_rules
 
     return build_all_rules()
@@ -340,7 +320,6 @@ def run_lint(
     ``rule_codes`` restricts the run to a subset of rules; unknown codes
     raise :class:`~repro.errors.LintError` (exit code 2 at the CLI).
     """
-    started = time.perf_counter()
     rules = default_rules()
     available: Mapping[str, Rule] = {rule.code: rule for rule in rules}
     if rule_codes is not None:
@@ -354,11 +333,10 @@ def run_lint(
         rules = [available[code] for code in dict.fromkeys(wanted)]
 
     files = discover_files([Path(p) for p in paths])
-    cache_stats: dict[str, int] = {"hits": 0, "misses": 0}
     modules: list[ModuleInfo] = []
     findings: list[Finding] = []
     for path in files:
-        loaded = load_module(path, cache_stats=cache_stats)
+        loaded = load_module(path)
         if isinstance(loaded, Finding):
             findings.append(loaded)
             continue
@@ -397,13 +375,4 @@ def run_lint(
         findings=findings,
         files_scanned=len(files),
         rules={rule.code: rule.title for rule in rules},
-        project=project,
-        run_stats={
-            "files": len(files),
-            "rules": len(rules),
-            "findings": len(findings),
-            "elapsed_s": round(time.perf_counter() - started, 4),
-            "parse_cache_hits": cache_stats["hits"],
-            "parse_cache_misses": cache_stats["misses"],
-        },
     )

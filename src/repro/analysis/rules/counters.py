@@ -21,15 +21,9 @@ through a segment named ``stats``/``_stats``. The never-updated check
 only runs when the linted tree contains at least one update site, so
 linting a declarations file on its own reports nothing.
 
-The rule has a second, telemetry-facing pass with the same philosophy:
-:data:`repro.telemetry.events.EVENT_TYPES` is to telemetry events what
-the ``*Stats`` dataclasses are to counters. Whenever the linted tree
-contains an ``EVENT_TYPES`` registry dict, the pass checks that every
-registry entry resolves to a ``TelemetryEvent`` subclass whose ``kind``
-literal matches its key, that every ``TelemetryEvent`` subclass is
-registered, that every ``<hub>.emit(SomeEvent(...))`` site constructs a
-known event class, and — once the tree contains at least one emit site —
-that no registered event is orphaned (declared but never emitted).
+No runtime test catches the first mode: ``SimStats.as_dict()`` is
+``dataclasses.asdict``, so an undeclared attribute never shows up in any
+report, and the test suite still passes.
 """
 
 from __future__ import annotations
@@ -105,42 +99,8 @@ class _UpdateSite:
 
 
 @dataclass
-class _EventDeclaration:
-    """One ``TelemetryEvent`` subclass found in the linted tree."""
-
-    class_name: str
-    kind: Optional[str]
-    module: ModuleInfo
-    node: ast.ClassDef
-
-
-@dataclass
-class _EventRegistryEntry:
-    """One ``EVENT_TYPES`` entry: kind-string key -> event class name."""
-
-    key: str
-    class_name: str
-    module: ModuleInfo
-    node: ast.expr
-
-
-@dataclass
-class _EmitSite:
-    """One ``<telemetry>.emit(SomeEvent(...))`` call."""
-
-    class_name: str
-    module: ModuleInfo
-    node: ast.Call
-
-
-@dataclass
 class CounterUsage:
-    """Aggregated declarations and update sites for one lint run.
-
-    Exposed (via :meth:`CounterHygieneRule.collect`) so the CLI's
-    ``--verify-against-runtime`` mode can cross-check the same static
-    view against the counters a smoke simulation actually emits.
-    """
+    """Aggregated declarations and update sites for one lint run."""
 
     declarations: list[_Declaration] = dataclass_field(default_factory=list)
     updates: list[_UpdateSite] = dataclass_field(default_factory=list)
@@ -200,91 +160,6 @@ def _collect_updates(module: ModuleInfo, usage: CounterUsage) -> None:
                 usage.updates.append(_UpdateSite(counter, module, node))
 
 
-_EVENT_BASE = "TelemetryEvent"
-_EVENT_REGISTRY = "EVENT_TYPES"
-
-
-def _class_base_names(node: ast.ClassDef) -> set[str]:
-    names: set[str] = set()
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.add(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.add(base.attr)
-    return names
-
-
-def _terminal_name(node: ast.expr) -> str:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
-
-
-def _collect_event_declarations(
-    module: ModuleInfo, out: list[_EventDeclaration]
-) -> None:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if _EVENT_BASE not in _class_base_names(node):
-            continue
-        kind: Optional[str] = None
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "kind"
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                kind = stmt.value.value
-        out.append(_EventDeclaration(node.name, kind, module, node))
-
-
-def _collect_event_registries(
-    module: ModuleInfo, out: list[_EventRegistryEntry]
-) -> bool:
-    """Append ``EVENT_TYPES`` entries; True when the module declares one."""
-    found = False
-    for stmt in module.tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-        ):
-            name, value = stmt.targets[0].id, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            name, value = stmt.target.id, stmt.value
-        else:
-            continue
-        if name != _EVENT_REGISTRY or not isinstance(value, ast.Dict):
-            continue
-        found = True
-        for key, entry in zip(value.keys, value.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                continue
-            class_name = _terminal_name(entry)
-            if class_name:
-                out.append(_EventRegistryEntry(key.value, class_name, module, entry))
-    return found
-
-
-def _collect_emit_sites(module: ModuleInfo, out: list[_EmitSite]) -> None:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "emit"):
-            continue
-        if len(node.args) != 1 or not isinstance(node.args[0], ast.Call):
-            continue
-        class_name = _terminal_name(node.args[0].func)
-        if class_name.endswith("Event"):
-            out.append(_EmitSite(class_name, module, node.args[0]))
-
-
 class CounterHygieneRule(Rule):
     """SL003: stats counters must be declared, and declared counters live."""
 
@@ -293,30 +168,12 @@ class CounterHygieneRule(Rule):
 
     def __init__(self) -> None:
         self._usage = CounterUsage()
-        self._events: list[_EventDeclaration] = []
-        self._registry: list[_EventRegistryEntry] = []
-        self._emits: list[_EmitSite] = []
-        self._registry_seen = False
-
-    @staticmethod
-    def collect(project: Project) -> CounterUsage:
-        """Static counter view of a project (shared with the runtime check)."""
-        usage = CounterUsage()
-        for module in project.modules:
-            _collect_declarations(module, usage)
-            _collect_updates(module, usage)
-        return usage
 
     def check_module(self, module: ModuleInfo, reporter: Reporter) -> None:
         _collect_declarations(module, self._usage)
         _collect_updates(module, self._usage)
-        _collect_event_declarations(module, self._events)
-        if _collect_event_registries(module, self._registry):
-            self._registry_seen = True
-        _collect_emit_sites(module, self._emits)
 
     def finish(self, project: Project, reporter: Reporter) -> None:
-        self._finish_telemetry(reporter)
         usage = self._usage
         declared = usage.declared_counters
         bundles = usage.bundle_names
@@ -344,56 +201,3 @@ class CounterHygieneRule(Rule):
                     "it will report a constant zero — wire it up or remove it",
                     line=decl.line,
                 )
-
-    def _finish_telemetry(self, reporter: Reporter) -> None:
-        """Telemetry-event pass: only active when the tree has EVENT_TYPES."""
-        if not self._registry_seen:
-            return
-        declared = {decl.class_name: decl for decl in self._events}
-        registered: dict[str, _EventRegistryEntry] = {}
-        for entry in self._registry:
-            registered.setdefault(entry.class_name, entry)
-            decl = declared.get(entry.class_name)
-            if decl is None:
-                reporter.report(
-                    self.code, entry.module, entry.node,
-                    f"EVENT_TYPES entry {entry.key!r} -> {entry.class_name} "
-                    "does not resolve: no TelemetryEvent subclass of that "
-                    "name exists in the linted tree",
-                )
-            elif decl.kind is not None and decl.kind != entry.key:
-                reporter.report(
-                    self.code, entry.module, entry.node,
-                    f"EVENT_TYPES key {entry.key!r} maps to "
-                    f"{entry.class_name} whose kind literal is {decl.kind!r}; "
-                    "the registry key and the class kind must match",
-                )
-        for decl in self._events:
-            if decl.class_name not in registered:
-                reporter.report(
-                    self.code, decl.module, decl.node,
-                    f"event class {decl.class_name} subclasses "
-                    f"{_EVENT_BASE} but is not registered in EVENT_TYPES; "
-                    "exporters and the schema validator will not know it",
-                )
-        known = set(declared) | set(registered)
-        emitted: set[str] = set()
-        for site in self._emits:
-            emitted.add(site.class_name)
-            if site.class_name not in known:
-                reporter.report(
-                    self.code, site.module, site.node,
-                    f"emit site constructs {site.class_name}, which is not "
-                    "a declared or registered telemetry event; declare the "
-                    "class and add it to EVENT_TYPES",
-                )
-        if self._emits:
-            for class_name, entry in sorted(registered.items()):
-                if class_name in declared and class_name not in emitted:
-                    decl = declared[class_name]
-                    reporter.report(
-                        self.code, decl.module, decl.node,
-                        f"event {class_name} is registered but never emitted "
-                        "anywhere in the linted tree (orphan event); wire an "
-                        "emit site or remove the event",
-                    )

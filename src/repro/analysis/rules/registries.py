@@ -1,83 +1,21 @@
-"""SL004 — registry completeness: pluggable classes registered and resolvable.
+"""SL004 — registry keys: no module-level registry literal repeats a key.
 
-Schedulers and prefetchers are constructed by name through the registry
-dicts in ``repro/sched/registry.py`` and ``repro/prefetch/registry.py``.
-A class that exists but is not registered is dead weight (no experiment
-can select it, no sweep covers it); a registry entry that names a class
-which no sibling module defines explodes only when a user asks for that
-configuration. The runtime counterpart is ``make_scheduler`` /
-``make_prefetcher`` raising ``ValueError`` — after the sweep already
-started.
-
-The rule is structural, so it works on any package shaped like the
-repo's plugin dirs: a directory containing ``registry.py`` (with a
-module-level UPPER_CASE dict of name → class) and ``base.py`` (defining
-the abstract base). Every public class in the directory's other modules
-that transitively subclasses a base-module class must appear among the
-registry values, and every registry value must be defined in the
-directory.
-
-Two registry-shaped checks ride along, motivated by the telemetry
-subsystem but applied uniformly:
-
-* any module-level ``UPPER_CASE`` dict literal with a repeated constant
-  key silently drops the earlier entry — always a bug, reported per
-  duplicate occurrence;
-* a module declaring an ``INTERVAL_METRICS`` registry must define one
-  ``_metric_<name>`` method per key and register every ``_metric_*``
-  method it defines — the collector resolves metrics by ``getattr``, so
-  a missing method crashes at flush time and an unregistered method is
-  computed by nothing.
+Schedulers, prefetchers, figure producers and metrics are looked up by
+name through module-level ``UPPER_CASE`` dict literals (``SCHEDULERS``,
+``PRODUCERS``, ``METRICS``, ...). A repeated constant key in such a
+literal silently drops the earlier entry: a second ``"figure14"`` entry
+in ``experiments.export.PRODUCERS`` makes ``export_figure`` write another
+figure's data under that name, and tier-1 passes. The rule reports each
+duplicate occurrence, plain or annotated assignment alike; lowercase
+dicts are data, not registries, and are exempt.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.analysis.engine import ModuleInfo, Project, Reporter, Rule
-
-_EXCLUDED_MODULES = frozenset({"__init__", "base", "registry"})
-
-_METRICS_REGISTRY = "INTERVAL_METRICS"
-_METRIC_PREFIX = "_metric_"
-
-
-def _top_level_classes(module: ModuleInfo) -> list[ast.ClassDef]:
-    return [node for node in module.tree.body if isinstance(node, ast.ClassDef)]
-
-
-def _base_names(node: ast.ClassDef) -> set[str]:
-    names: set[str] = set()
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.add(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.add(base.attr)
-    return names
-
-
-def _registry_dicts(module: ModuleInfo) -> list[tuple[str, ast.Dict, ast.Assign]]:
-    """Module-level ``UPPER_CASE = { ... }`` dict assignments."""
-    found: list[tuple[str, ast.Dict, ast.Assign]] = []
-    for node in module.tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id.isupper()
-            and isinstance(node.value, ast.Dict)
-        ):
-            found.append((node.targets[0].id, node.value, node))
-    return found
-
-
-def _value_class_name(value: ast.expr) -> Optional[str]:
-    if isinstance(value, ast.Name):
-        return value.id
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    return None
+from repro.analysis.engine import ModuleInfo, Reporter, Rule
 
 
 def _module_level_upper_dicts(
@@ -99,21 +37,13 @@ def _module_level_upper_dicts(
             yield name, value
 
 
-class RegistryCompletenessRule(Rule):
-    """SL004: every plugin class registered, every registry entry resolvable."""
+class RegistryKeysRule(Rule):
+    """SL004: no module-level registry dict literal repeats a key."""
 
     code = "SL004"
-    title = "registry completeness: plugin classes registered and entries resolvable"
+    title = "registry keys: no UPPER_CASE dict literal repeats a key"
 
     def check_module(self, module: ModuleInfo, reporter: Reporter) -> None:
-        # The plugin-package check happens in the project pass (it needs
-        # the sibling modules); these two are purely module-local.
-        self._check_duplicate_keys(module, reporter)
-        self._check_interval_metrics(module, reporter)
-
-    def _check_duplicate_keys(
-        self, module: ModuleInfo, reporter: Reporter
-    ) -> None:
         for dict_name, dict_node in _module_level_upper_dicts(module):
             seen: dict[object, int] = {}
             for key in dict_node.keys:
@@ -132,111 +62,3 @@ class RegistryCompletenessRule(Rule):
                     )
                 else:
                     seen[value] = key.lineno
-
-    def _check_interval_metrics(
-        self, module: ModuleInfo, reporter: Reporter
-    ) -> None:
-        registries = [
-            dict_node
-            for name, dict_node in _module_level_upper_dicts(module)
-            if name == _METRICS_REGISTRY
-        ]
-        if not registries:
-            return
-        keys: dict[str, ast.expr] = {}
-        for dict_node in registries:
-            for key in dict_node.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.setdefault(key.value, key)
-        methods: dict[str, ast.AST] = {}
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith(_METRIC_PREFIX):
-                    methods.setdefault(node.name[len(_METRIC_PREFIX):], node)
-        for name, key_node in sorted(keys.items()):
-            if name not in methods:
-                reporter.report(
-                    self.code, module, key_node,
-                    f"{_METRICS_REGISTRY} names {name!r} but this module "
-                    f"defines no {_METRIC_PREFIX}{name} method; the interval "
-                    "collector would crash resolving it at flush time",
-                )
-        for name, method_node in sorted(methods.items()):
-            if name not in keys:
-                reporter.report(
-                    self.code, module, method_node,
-                    f"{_METRIC_PREFIX}{name} has no {_METRICS_REGISTRY} "
-                    "entry; the metric is never computed for any interval "
-                    "record — register it or remove the method",
-                )
-
-    def finish(self, project: Project, reporter: Reporter) -> None:
-        for _directory, modules in sorted(project.by_directory().items()):
-            by_name = {module.name: module for module in modules}
-            registry = by_name.get("registry")
-            base = by_name.get("base")
-            if registry is None or base is None:
-                continue
-            self._check_package(by_name, registry, base, reporter)
-
-    def _check_package(
-        self,
-        by_name: dict[str, ModuleInfo],
-        registry: ModuleInfo,
-        base: ModuleInfo,
-        reporter: Reporter,
-    ) -> None:
-        base_classes = {cls.name for cls in _top_level_classes(base)}
-
-        # Transitive closure: classes in plugin modules subclassing a base.
-        defined: dict[str, tuple[ModuleInfo, ast.ClassDef]] = {}
-        for module in by_name.values():
-            if module.name == "registry":
-                continue
-            for cls in _top_level_classes(module):
-                defined[cls.name] = (module, cls)
-        registrable_roots = set(base_classes)
-        registrable: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for name, (module, cls) in defined.items():
-                if module.name in _EXCLUDED_MODULES or name in registrable:
-                    continue
-                if name.startswith("_"):
-                    continue
-                if _base_names(cls) & (registrable_roots | registrable):
-                    registrable.add(name)
-                    changed = True
-
-        registered: set[str] = set()
-        dicts = _registry_dicts(registry)
-        for dict_name, dict_node, _assign in dicts:
-            for key, value in zip(dict_node.keys, dict_node.values):
-                class_name = _value_class_name(value)
-                if class_name is None:
-                    continue
-                registered.add(class_name)
-                if class_name not in defined and class_name not in base_classes:
-                    key_repr = (
-                        repr(key.value)
-                        if isinstance(key, ast.Constant) else "<non-constant>"
-                    )
-                    reporter.report(
-                        self.code, registry, value,
-                        f"registry {dict_name} entry {key_repr} -> "
-                        f"{class_name} does not resolve: no module in this "
-                        "package defines that class",
-                    )
-
-        if not dicts:
-            return
-        dict_names = ", ".join(name for name, _dict, _assign in dicts)
-        for name in sorted(registrable - registered):
-            module, cls = defined[name]
-            reporter.report(
-                self.code, module, cls,
-                f"class {name} subclasses a registrable base but is not "
-                f"listed in {dict_names} ({registry.display_path}); register "
-                "it or it can never be selected by name",
-            )

@@ -1023,12 +1023,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsck.add_argument("--json", action="store_true",
                         help="emit the fsck report as JSON on stdout")
 
+    # Declared here, not in repro.analysis, so that building the parser
+    # for any other command does not import the linter.
     p_lint = sub.add_parser(
-        "lint", help="simulator-aware static analysis (simlint SL001-SL011)"
+        "lint", help="simulator-aware static analysis (simlint)"
     )
-    from repro.analysis.cli import add_lint_arguments
-
-    add_lint_arguments(p_lint)
+    p_lint.add_argument("paths", nargs="*", metavar="PATH",
+                        help="files or directories to lint (default: the "
+                             "repro package)")
+    p_lint.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output format (default: text)")
+    p_lint.add_argument("--rules", default=None, metavar="CODES",
+                        help="comma-separated rule subset, e.g. SL003,SL010 "
+                             "(default: all)")
+    p_lint.add_argument("--list-rules", action="store_true",
+                        help="list the registered rules and exit")
     return parser
 
 

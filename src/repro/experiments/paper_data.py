@@ -2,9 +2,9 @@
 
 Single source of truth for what the APRES paper (ISCA 2016) reports in
 its evaluation — the reference side of the fidelity scorecard
-(:mod:`repro.registry.scorecard`) and of simlint's SL006 coverage rule
-(every producer in :mod:`repro.experiments.figures` must have an entry in
-``GOLDEN`` *and* ``SCORECARD`` here).
+(:mod:`repro.registry.scorecard`). Every producer in
+:mod:`repro.experiments.figures` must have an entry in ``GOLDEN`` *and*
+``SCORECARD`` here (``tests/test_scorecard.py`` checks both).
 
 Provenance of the values, in decreasing precision:
 
@@ -207,7 +207,7 @@ TABLE2 = {
 }
 
 #: Producer name -> golden grid ({series: {category: value}}). Every
-#: producer in repro.experiments.figures must appear here (simlint SL006).
+#: producer in repro.experiments.figures must appear here.
 GOLDEN: dict[str, Mapping[str, Mapping[str, float]]] = {
     "table1": TABLE1,
     "table2": TABLE2,
@@ -225,7 +225,7 @@ GOLDEN: dict[str, Mapping[str, Mapping[str, float]]] = {
 #: Producer name -> scorecard spec: how measured data is reduced to the
 #: golden grid shape ("kind" selects the extractor in
 #: repro.registry.scorecard) and how the figure is labelled in reports.
-#: Every producer must appear here too (simlint SL006).
+#: Every producer must appear here too.
 SCORECARD: dict[str, Mapping[str, str]] = {
     "table1": {"kind": "table1", "ylabel": "dominant-load characteristics"},
     "table2": {"kind": "table2", "ylabel": "structure bytes"},

@@ -127,7 +127,10 @@ class FaultPlan:
         Placement is drawn from ``random.Random(seed)``, so the schedule
         is a pure function of ``(kinds, points, appends, seed)``.
         ``appends`` bounds the append-site occurrence indices (default:
-        ``points``, since each point appends one store line).
+        ``points``, since each point appends one store line). Events of
+        one site get distinct keys while the site has keys left: ``trip``
+        fires only the first event matching a key, so a second event on
+        the same key (a hang behind a crash) would never fire.
         """
         for kind in kinds:
             if kind not in FAULT_KINDS:
@@ -136,21 +139,23 @@ class FaultPlan:
         if points < 1:
             raise ValueError("fault plan needs at least one point")
         rng = random.Random(seed)
-        appends = appends if appends is not None else points
+        appends = max(1, appends if appends is not None else points)
+        used: dict[str, set[int]] = {}
         events: list[FaultEvent] = []
         for kind in kinds:
             if kind in WORKER_KINDS:
-                events.append(FaultEvent(
-                    "worker.point", rng.randrange(points), kind))
+                site, keys = "worker.point", points
             elif kind in ("torn-write", "disk-full"):
-                events.append(FaultEvent(
-                    "append.write", rng.randrange(max(1, appends)), kind))
+                site, keys = "append.write", appends
             elif kind == "fsync-fail":
-                events.append(FaultEvent(
-                    "append.fsync", rng.randrange(max(1, appends)), kind))
+                site, keys = "append.fsync", appends
             else:  # corrupt-record
-                events.append(FaultEvent(
-                    "registry.ingest", rng.randrange(points), kind))
+                site, keys = "registry.ingest", points
+            taken = used.setdefault(site, set())
+            free = [key for key in range(keys) if key not in taken]
+            key = rng.choice(free) if free else rng.randrange(keys)
+            taken.add(key)
+            events.append(FaultEvent(site, key, kind))
         return cls(seed=seed, events=events)
 
     # ------------------------------------------------------------------

@@ -3,11 +3,11 @@
 Every discrete occurrence the simulator can report — an instruction
 issue, an L1 access, a DRAM request, a LAWS group decision — is one event
 class here. The :data:`EVENT_TYPES` registry is the single source of
-truth for what events exist: simlint's SL003 extension cross-checks that
-every class below is registered, that every ``emit(...)`` site in the
-tree constructs a registered class, and that no registered event is
-orphaned (declared but never emitted). Adding an event therefore means
-adding the class *and* its registry entry, or the lint job fails.
+truth for what events exist: :func:`validate_event_registry` checks that
+every class below is registered under its own ``kind``, and the
+Chrome-trace golden test pins which events a run emits. Adding an event
+therefore means adding the class *and* its registry entry, or tier-1
+fails.
 
 Events are plain slotted dataclasses so constructing one costs a few
 attribute stores; they are only ever constructed behind an
@@ -223,8 +223,8 @@ class SAPDecisionEvent(TelemetryEvent):
 
 
 #: Registry of every telemetry event: ``kind`` string -> event class.
-#: simlint (SL003 telemetry pass) keeps this in lockstep with the classes
-#: above and with every ``emit(...)`` site in the tree.
+#: :func:`validate_event_registry` keeps this in lockstep with the classes
+#: above.
 EVENT_TYPES: dict[str, type] = {
     "issue": WarpIssueEvent,
     "load_issue": LoadIssueEvent,
@@ -243,7 +243,7 @@ EVENT_TYPES: dict[str, type] = {
 
 
 def validate_event_registry() -> list[str]:
-    """Runtime twin of the SL003 telemetry pass (used by tests).
+    """Check the event registry against the event classes (used by tests).
 
     Returns a list of problems; empty means the registry, the classes and
     their ``kind`` strings are coherent.

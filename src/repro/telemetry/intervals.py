@@ -9,8 +9,8 @@ drives the CLI heartbeat and the Chrome-trace counter track).
 
 The :data:`INTERVAL_METRICS` registry is the single source of truth for
 metric names. Each name resolves to an ``IntervalCollector._metric_<name>``
-method; simlint's SL004 extension checks the mapping in both directions,
-so a metric cannot be silently renamed or left uncomputed.
+method, resolved by ``getattr`` at every flush, so a renamed or missing
+method fails the first run that emits an interval record.
 
 Windows are aligned to the simulator's ticks: the event-queue
 fast-forward can jump the clock past a boundary, in which case the
@@ -34,8 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_WINDOW = 5_000
 
 #: Registry of interval metrics: name -> what the value means. Every name
-#: has a matching ``_metric_<name>`` method on :class:`IntervalCollector`
-#: (enforced by simlint SL004).
+#: has a matching ``_metric_<name>`` method on :class:`IntervalCollector`.
 INTERVAL_METRICS: dict[str, str] = {
     "ipc": "instructions per cycle within the window",
     "ipc_cum": "instructions per cycle from cycle 0 to the window's end",

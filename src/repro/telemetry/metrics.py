@@ -6,9 +6,9 @@ workers were requeued, how the runner's memo cache is hitting. Every
 metric has a stable dotted name declared in :data:`METRICS` — the single
 source of truth, mirroring what
 :data:`repro.telemetry.events.EVENT_TYPES` is to telemetry events.
-simlint's SL011 pass cross-checks every ``counter(...)`` /
-``gauge(...)`` call site in the tree against this dict, so a metric
-cannot be emitted unregistered or declared and never emitted.
+:class:`MetricsRegistry` rejects any ``counter(...)`` / ``gauge(...)``
+name missing from this dict (or declared with another type), so a metric
+cannot be emitted unregistered.
 
 Export is pull-style: :func:`write_metrics` renders the process-wide
 registry as canonical JSON plus a Prometheus text-format twin
@@ -25,7 +25,6 @@ from typing import Any, Optional, Union
 #: Central declaration of every metric the harness may emit:
 #: dotted name -> (type, help text). Types are ``counter`` (monotonic)
 #: and ``gauge`` (set-to-current).
-#: simlint SL011 keeps emit sites and this dict in lockstep.
 METRICS: dict[str, tuple[str, str]] = {
     "pool.worker.requeues": (
         "counter", "sweep points requeued after a pool worker failure"),
@@ -77,7 +76,7 @@ class MetricsRegistry:
 
     ``counter``/``gauge`` lazily create the instrument on first use and
     reject names missing from :data:`METRICS` (or declared with a
-    different type) — the runtime twin of simlint SL011.
+    different type).
     """
 
     def __init__(self) -> None:
@@ -88,7 +87,7 @@ class MetricsRegistry:
         if declared is None:
             raise KeyError(
                 f"metric {name!r} is not declared in "
-                "repro.telemetry.metrics.METRICS; add it there (SL011)"
+                "repro.telemetry.metrics.METRICS; add it there"
             )
         if declared[0] != metric_type:
             raise TypeError(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
@@ -108,3 +111,23 @@ def mix_kernel() -> KernelSpec:
 @pytest.fixture
 def apres_cfg() -> APRESConfig:
     return APRESConfig()
+
+
+def concrete_plugin_classes(base: type, package: str) -> set[type]:
+    """Every non-abstract subclass of ``base`` defined under ``package``.
+
+    Imports each module of the package first, so a class in a module the
+    registry never imports is still found.
+    """
+    root = importlib.import_module(package)
+    for info in pkgutil.walk_packages(root.__path__, prefix=f"{package}."):
+        importlib.import_module(info.name)
+    found: set[type] = set()
+    pending = [base]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            if (sub.__module__.startswith(f"{package}.")
+                    and not inspect.isabstract(sub)):
+                found.add(sub)
+    return found

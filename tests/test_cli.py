@@ -1,5 +1,10 @@
 """CLI smoke and behaviour tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -66,6 +71,20 @@ class TestParser:
         ])
         assert args.html == "out.html"
         assert args.from_json == "card.json"
+
+    def test_building_the_parser_does_not_import_the_linter(self):
+        # A fresh interpreter: this test session has imported it already.
+        code = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis')))"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCommands:

@@ -1,7 +1,6 @@
 """Determinism regression: identical runs must produce identical stats.
 
-The simlint SL001 rule exists to keep hash-order iteration out of the
-simulation hot paths; these tests pin the property the rule protects —
+These tests keep hash-order iteration out of the simulation hot paths:
 two runs of the same (kernel, config, engine) point serialise to
 byte-identical stats JSON, even under different hash seeds.
 """

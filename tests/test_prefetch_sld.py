@@ -68,6 +68,18 @@ class TestRegistry:
     def test_known_names(self):
         assert set(PREFETCHERS) == {"none", "str", "sld", "mta"}
 
+    def test_every_prefetcher_class_is_registered(self):
+        # SAP lives in repro.core and is built by build_apres instead.
+        from conftest import concrete_plugin_classes
+        from repro.prefetch.base import Prefetcher
+
+        defined = concrete_plugin_classes(Prefetcher, "repro.prefetch")
+        assert defined == set(PREFETCHERS.values())
+
+    def test_every_key_builds_the_prefetcher_of_that_name(self):
+        for name in PREFETCHERS:
+            assert make_prefetcher(name).name == name
+
     def test_construct_all(self):
         for name in PREFETCHERS:
             p = make_prefetcher(name)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -141,6 +142,25 @@ class TestFaultPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan.build(["segfault"], points=2)
+
+    def test_default_chaos_plan_puts_crash_and_hang_on_different_points(self):
+        # trip() fires only the first event matching a key, so a hang
+        # placed behind a crash would never reach the deadline path.
+        from repro.resilience.chaos import DEFAULT_APPS, DEFAULT_CONFIGS
+
+        points = len(DEFAULT_APPS) * len(DEFAULT_CONFIGS)
+        plan = FaultPlan.build(
+            ["crash", "hang", "torn-write", "corrupt-record"],
+            points=points, seed=0)
+        keys = {e.kind: e.key for e in plan.events if e.site == "worker.point"}
+        assert keys["crash"] != keys["hang"]
+
+    def test_same_site_keys_repeat_only_when_the_site_is_full(self):
+        plan = FaultPlan.build(["torn-write", "disk-full"], points=1, seed=0)
+        assert [e.key for e in plan.events] == [0, 0]
+        for seed in range(20):
+            plan = FaultPlan.build(["crash", "hang"], points=2, seed=seed)
+            assert sorted(e.key for e in plan.events) == [0, 1]
 
     def test_worker_faults_fire_on_first_attempt_only(self):
         plan = FaultPlan(events=[FaultEvent("worker.point", 0, "crash")])
@@ -345,6 +365,21 @@ class TestChaosHarness:
         assert report.registry_identical
         assert report.fsck_verify_ok
         assert "verdict: OK" in format_chaos(report)
+
+    def test_chaos_requeues_a_hang_on_a_point_other_than_the_crash(
+            self, tmp_path, capsys):
+        report = run_chaos(
+            ["crash", "hang"], jobs=2, out_dir=str(tmp_path / "chaos"),
+            deadline_s=1.0)
+        assert report.ok, format_chaos(report)
+        err = capsys.readouterr().err
+        requeued = {
+            cause: int(point)
+            for point, cause in re.findall(
+                r"requeueing point (\d+) \(attempt \d+/\d+, (worker-\w+)", err)
+        }
+        assert set(requeued) == {"worker-crash", "worker-hang"}, err
+        assert requeued["worker-crash"] != requeued["worker-hang"]
 
     def test_chaos_artifacts_left_for_inspection(self, tmp_path):
         out = tmp_path / "chaos"

@@ -131,6 +131,18 @@ class TestRegistry:
             "lrr", "gto", "twolevel", "ccws", "mascar", "pa", "cawa"
         }
 
+    def test_every_scheduler_class_is_registered(self):
+        # LAWS lives in repro.core and is built by build_apres instead.
+        from conftest import concrete_plugin_classes
+        from repro.sched.base import WarpScheduler
+
+        defined = concrete_plugin_classes(WarpScheduler, "repro.sched")
+        assert defined == set(SCHEDULERS.values())
+
+    def test_every_key_builds_the_scheduler_of_that_name(self):
+        for name in SCHEDULERS:
+            assert make_scheduler(name).name == name
+
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS) + ["laws", "apres"])
 def test_select_leaves_the_live_ready_list_alone(name):

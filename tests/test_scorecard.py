@@ -150,6 +150,20 @@ class TestScorecardPayload:
         )
         assert set(DEFAULT_SCORECARD_FIGURES) <= set(paper_data.GOLDEN)
 
+    def test_every_producer_has_golden_data_and_a_scorecard_spec(self):
+        import inspect
+        import re
+
+        from repro.experiments import figures
+
+        producers = {
+            name for name, fn in inspect.getmembers(figures, inspect.isfunction)
+            if re.fullmatch(r"(figure|table)\d+", name)
+            and fn.__module__ == figures.__name__
+        }
+        assert set(paper_data.GOLDEN) == set(paper_data.SCORECARD)
+        assert set(paper_data.GOLDEN) == producers
+
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError, match="unknown scorecard figure"):
             scorecard(figures=["figure99"])

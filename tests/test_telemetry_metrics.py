@@ -1,7 +1,6 @@
 """Run-wide metrics registry and the crash flight recorder.
 
-Unit contracts: declared-name enforcement (the runtime twin of simlint
-SL011), typed instruments, deterministic JSON + Prometheus export, the
+Unit contracts: declared-name enforcement, typed instruments, deterministic JSON + Prometheus export, the
 bounded flight ring, and dump schema/placement rules.
 """
 
@@ -25,9 +24,9 @@ from repro.telemetry.metrics import (
 )
 
 class TestMetricsRegistry:
-    def test_undeclared_name_is_rejected_with_a_pointer_to_sl011(self):
+    def test_undeclared_name_is_rejected_with_a_pointer_to_metrics(self):
         registry = MetricsRegistry()
-        with pytest.raises(KeyError, match="SL011"):
+        with pytest.raises(KeyError, match="telemetry.metrics.METRICS"):
             registry.counter("pool.worker.unheard_of")
 
     def test_type_mismatch_is_rejected(self):
