@@ -3,7 +3,9 @@
 The engine walks Python files, parses each into an AST, runs every
 registered rule over every module, gives cross-module rules a second
 ``finish`` pass over the whole project, and then drops findings that a
-``# simlint: ignore[...]`` comment suppresses.
+``# simlint: ignore[...]`` comment suppresses. A suppression naming a
+code no registered rule has is itself a finding: it would suppress
+nothing.
 
 Rules never do I/O and never import the code under analysis — everything
 is derived from the AST and raw source, so the linter is safe to run on
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import abc
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar, Iterable, Mapping, Optional, Sequence
@@ -22,7 +26,8 @@ from typing import Any, ClassVar, Iterable, Mapping, Optional, Sequence
 from repro.analysis.finding import Finding
 from repro.errors import LintError
 
-#: Pseudo-rule code attached to files that fail to parse.
+#: Pseudo-rule code for source the engine cannot lint as written: a file
+#: that fails to parse, or a suppression naming a code no rule has.
 PARSE_RULE = "SL000"
 
 #: Package-directory names whose modules form the simulator's hot path /
@@ -153,19 +158,24 @@ class LintResult:
         }
 
 
-def parse_suppressions(lines: Sequence[str]) -> dict[int, frozenset[str]]:
+def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
     """Map line numbers to suppressed rule codes.
 
     ``# simlint: ignore`` suppresses every rule on its line;
     ``# simlint: ignore[SL003, SL008]`` suppresses just those codes.
+    Only comments count: the same text inside a string or docstring
+    suppresses nothing.
     """
     suppressions: dict[int, frozenset[str]] = {}
-    for lineno, text in enumerate(lines, start=1):
-        if "simlint" not in text:
+    if "simlint" not in source:
+        return suppressions
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
             continue
-        match = _SUPPRESS_RE.search(text)
+        match = _SUPPRESS_RE.search(token.string)
         if match is None:
             continue
+        lineno = token.start[0]
         codes = match.group("codes")
         if codes is None:
             suppressions[lineno] = frozenset()
@@ -262,7 +272,7 @@ def _load_uncached(path: Path, display: str) -> "ModuleInfo | Finding":
         source=source,
         tree=tree,
         lines=lines,
-        suppressions=parse_suppressions(lines),
+        suppressions=parse_suppressions(source),
         decorator_owner=_decorator_owners(tree),
     )
 
@@ -362,6 +372,16 @@ def run_lint(
                 f"rule {rule.code} crashed in its project pass: {exc!r}",
                 details={"rule": rule.code},
             ) from exc
+
+    for module in modules:
+        for lineno, codes in sorted(module.suppressions.items()):
+            for code in sorted(codes - set(available)):
+                findings.append(Finding(
+                    module.display_path, lineno, 0, PARSE_RULE,
+                    f"suppression names {code}, which no rule has, so it "
+                    "suppresses nothing; remove it or name a rule from "
+                    "`repro lint --list-rules`",
+                ))
 
     by_path = {module.display_path: module for module in modules}
     for finding in reporter.findings:

@@ -59,11 +59,6 @@ serial if workers keep dying. ``sweep --worker-deadline SEC`` adds hang
 detection: a worker silent for SEC seconds is killed and its point
 requeued.
 
-``run``, ``sweep`` and ``figure`` accept ``--metrics-out FILE`` to dump
-the process-wide operational metrics registry (counters and gauges —
-see :mod:`repro.telemetry.metrics`) as JSON, plus a Prometheus textfile
-next to it (``FILE.prom``).
-
 ``run``, ``sweep``, ``figure``, ``table`` and ``scorecard`` ingest their
 results into the registry (``bench_results/registry`` by default,
 ``REPRO_REGISTRY_DIR`` to relocate, ``--no-registry`` to skip), which is
@@ -74,10 +69,10 @@ a seeded fault plan (``--faults crash,hang,torn-write,disk-full,
 fsync-fail,corrupt-record``) — heals the damage (supervised pool, atomic
 appends, ``fsck --repair``) and exits 0 only when the final sweep store
 and registry are byte-identical to the clean run. ``fsck`` audits the
-registry for torn lines, hash mismatches, duplicates and index drift;
-``--repair`` quarantines bad lines (``<registry>/quarantine/``),
-restores restorable records from a sweep store (``--restore-from``) and
-rebuilds the index.
+registry's ``records.jsonl`` for torn lines, run-id and payload-hash
+mismatches and duplicates; ``--repair`` quarantines bad lines
+(``<registry>/quarantine/``), restores restorable records from a sweep
+store (``--restore-from``) and rewrites the log atomically.
 
 Exit codes: 0 success, 1 failed validation, failed sweep points, lint
 findings, fsck/chaos findings, or a diff outside tolerance, 2 a
@@ -218,23 +213,6 @@ def _stall_rows(report: dict) -> list:
     return rows
 
 
-def _maybe_write_metrics(args: argparse.Namespace) -> None:
-    """Export the operational metrics registry when ``--metrics-out`` asks.
-
-    Written last, after the command's work, so the export reflects every
-    counter the run touched (cache hits, pool requeues, ...).
-    """
-    out = getattr(args, "metrics_out", None)
-    if not out:
-        return
-    from repro.telemetry.metrics import write_metrics
-
-    if os.path.dirname(out):
-        os.makedirs(os.path.dirname(out), exist_ok=True)
-    prom_path = write_metrics(out)
-    print(f"metrics: {out} (+ {prom_path})")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     import time
 
@@ -282,7 +260,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             stalls=stalls, wall_time_s=wall_time_s,
         ))
         print(f"registry: {record.run_id} -> {registry.root}")
-    _maybe_write_metrics(args)
     return 0
 
 
@@ -466,7 +443,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     payload = getattr(figures, name)(apps, args.scale)
     _FIGURE_PRINTERS[args.number](payload)
     _ingest_figure(args, name, payload, args.scale, apps)
-    _maybe_write_metrics(args)
     return 0
 
 
@@ -536,7 +512,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if summary.quarantined_keys:
         print("quarantined points (resume skips; --retry-failed re-attempts): "
               + ", ".join(summary.quarantined_keys))
-    _maybe_write_metrics(args)
     return 1 if summary.failed else 0
 
 
@@ -816,11 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="re-simulate points even when the registry "
                                 "already archives their records")
 
-    def add_metrics_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="dump the operational metrics registry as JSON "
-                            "to FILE plus a Prometheus textfile (FILE.prom)")
-
     p_run = sub.add_parser("run", help="simulate one workload/configuration")
     p_run.add_argument("app", choices=sorted(SUITE))
     p_run.add_argument("config", choices=sorted(CONFIGS))
@@ -837,7 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_flags(p_run)
     add_integrity_flags(p_run)
     add_registry_flag(p_run)
-    add_metrics_flag(p_run)
 
     p_trace = sub.add_parser(
         "trace",
@@ -878,7 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--apps", nargs="*", metavar="APP")
     add_parallel_flags(p_fig)
     add_registry_flag(p_fig)
-    add_metrics_flag(p_fig)
 
     p_val = sub.add_parser("validate", help="check the reproduction's shape claims")
     p_val.add_argument("--scale", type=float, default=0.5)
@@ -922,7 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_parallel_flags(p_sweep, cache=True)
     add_integrity_flags(p_sweep)
     add_registry_flag(p_sweep)
-    add_metrics_flag(p_sweep)
 
     p_score = sub.add_parser(
         "scorecard",
@@ -1008,15 +975,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsck = sub.add_parser(
         "fsck",
         help="audit (and with --repair, heal) the run registry: torn lines, "
-             "hash mismatches, duplicates, index drift",
+             "hash mismatches, duplicates",
     )
     p_fsck.add_argument("--registry", metavar="DIR", default=None,
                         help="registry root (default bench_results/registry, "
                              "or REPRO_REGISTRY_DIR)")
     p_fsck.add_argument("--repair", action="store_true",
                         help="quarantine bad lines, restore restorable "
-                             "records, rewrite the JSONL atomically and "
-                             "rebuild the SQLite index")
+                             "records and rewrite the JSONL atomically")
     p_fsck.add_argument("--restore-from", metavar="PATH", default=None,
                         help="sweep JSONL store used to regenerate corrupted "
                              "registry records losslessly")

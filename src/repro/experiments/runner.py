@@ -19,7 +19,6 @@ from repro.config import GPUConfig
 from repro.experiments.configs import CONFIGS, experiment_gpu_config
 from repro.sm.simulator import SimulationResult, simulate
 from repro.stats.energy import EnergyModel, EnergyReport
-from repro.telemetry.metrics import get_registry
 from repro.workloads.suite import workload
 from repro.workloads.synthetic import build_kernel
 
@@ -142,9 +141,7 @@ def run(
         cached = _CACHE.get(key)
         if cached is not None:
             _CACHE.move_to_end(key)
-            get_registry().counter("registry.cache.hits").inc()
             return cached
-        get_registry().counter("registry.cache.misses").inc()
 
     kernel = build_kernel(workload(workload_abbr), scale)
     sim = simulate(kernel, cfg, CONFIGS[config_name].build, telemetry=telemetry)

@@ -61,22 +61,11 @@ class Watchdog:
 
     def abort(self, simulator, now: int, reason: str) -> None:
         """Build the diagnostic dump, persist it, raise WatchdogTimeout."""
-        from repro.telemetry import flight
-
         details = simulator.describe(now)
         details["reason"] = reason
         dump_path = self._write_dump(simulator, now, details)
         if dump_path is not None:
             details["dump_path"] = dump_path
-        flight.record("watchdog.abort", kernel=simulator.kernel_name,
-                      cycle=now, reason=reason)
-        flight_path = flight.dump(
-            "watchdog-abort", directory=self.dump_dir,
-            details={"kernel": simulator.kernel_name, "cycle": now,
-                     "reason": reason},
-        )
-        if flight_path is not None:
-            details["flight_dump_path"] = flight_path
         summary = _summarise(details)
         raise WatchdogTimeout(
             f"kernel {simulator.kernel_name!r} {reason} at cycle {now}"

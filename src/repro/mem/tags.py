@@ -105,7 +105,7 @@ class TagArray:
                     # Scan is intentionally in OrderedDict recency order (oldest
                     # first = LRU); that order is deterministic, not hash order.
                     victim_addr = next(
-                        (a for a, m in s.items() if not (m.prefetched and not m.referenced)),  # simlint: ignore[SL001]
+                        (a for a, m in s.items() if not (m.prefetched and not m.referenced)),
                         None,
                     )
             if victim_addr is None:

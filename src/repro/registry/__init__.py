@@ -2,8 +2,8 @@
 
 Every number this repository produces — a single ``repro run``, a sweep
 point, a regenerated paper figure — can be ingested into one persistent
-store under ``bench_results/registry/`` (SQLite index + append-only JSONL
-mirror). Records are keyed by a content hash of their *identity* (what
+store, the append-only log ``bench_results/registry/records.jsonl``.
+Records are keyed by a content hash of their *identity* (what
 was simulated: workload, configuration, scheduler, prefetcher, seed,
 scale, GPU-config hash) and carry full *provenance* (git SHA, code
 version, host, wall time) plus a flattened metric dict, so any two

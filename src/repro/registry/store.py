@@ -1,14 +1,11 @@
-"""SQLite-indexed, JSONL-mirrored registry store.
+"""Append-only JSONL registry store.
 
-Two complementary persistence layers, written in lock-step:
-
-* ``registry.db`` — a SQLite index over (run_id, kind, name, created_at,
-  git_sha, scale) with the full record as JSON. Queries (latest record of
-  a figure, history of a run id, prefix resolution) go through it.
-* ``records.jsonl`` — an append-only JSONL mirror, flushed and fsynced
-  per record exactly like the sweep store. It is the crash-safe source of
-  truth: :meth:`RegistryStore.rebuild_index` reconstructs the SQLite
-  index from it, so a corrupted or deleted ``.db`` never loses data.
+Every record is one line of ``<root>/records.jsonl``, appended through
+the self-healing single-syscall
+:func:`repro.resilience.atomic.append_line` and fsynced exactly like the
+sweep store, so a crash can tear at most the line being written. Queries
+(latest record of a figure, history of a run id, prefix resolution) scan
+the log and skip a torn tail; newest-first means later in the file.
 
 The same identity may be ingested many times (the point of a registry:
 tracking one experiment across commits); every occurrence is kept, and
@@ -20,9 +17,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import sqlite3
-import time
-from typing import Any, Optional, Union
+from collections import deque
+from typing import Iterator, Optional, Union
 
 from repro.errors import ReproError
 from repro.registry.records import RunRecord
@@ -37,33 +33,17 @@ DEFAULT_REGISTRY_DIR = os.path.join("bench_results", "registry")
 #: Environment override for the store root (tests, CI sandboxes).
 REGISTRY_DIR_ENV = "REPRO_REGISTRY_DIR"
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS records (
-    seq        INTEGER PRIMARY KEY AUTOINCREMENT,
-    run_id     TEXT NOT NULL,
-    kind       TEXT NOT NULL,
-    name       TEXT NOT NULL,
-    created_at REAL NOT NULL,
-    git_sha    TEXT,
-    scale      REAL,
-    json       TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_records_run ON records (run_id, seq);
-CREATE INDEX IF NOT EXISTS idx_records_kind ON records (kind, name, seq);
-"""
-
 
 class RegistryError(ReproError):
     """A registry lookup or write failed."""
 
 
 class RegistryStore:
-    """Persistent run-record store (SQLite index + JSONL mirror)."""
+    """Persistent run-record store: one append-only JSONL log."""
 
     def __init__(self, root: Optional[PathLike] = None):
         resolved = root or os.environ.get(REGISTRY_DIR_ENV) or DEFAULT_REGISTRY_DIR
         self.root = pathlib.Path(resolved)
-        self.db_path = self.root / "registry.db"
         self.jsonl_path = self.root / "records.jsonl"
 
     # ------------------------------------------------------------------
@@ -71,84 +51,23 @@ class RegistryStore:
     # ------------------------------------------------------------------
 
     def put(self, record: RunRecord) -> RunRecord:
-        """Persist one record (JSONL first — it is the source of truth).
+        """Append one record to the log.
 
-        The JSONL append goes through the self-healing single-syscall
-        :func:`repro.resilience.atomic.append_line`, so a torn registry
-        line cannot persist. The trailing hook lets an armed
+        The trailing hook lets an armed
         :class:`~repro.resilience.faults.FaultPlan` corrupt the record it
         just ingested (the ``corrupt-record`` chaos fault).
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = record.as_dict()
-        line = json.dumps(payload, sort_keys=True, default=str)
-        append_line(self.jsonl_path, line)
-        self._index(payload, line)
+        append_line(self.jsonl_path,
+                    json.dumps(record.as_dict(), sort_keys=True, default=str))
         plan = faults.ACTIVE
         if plan is not None:
             plan.registry_ingest_fault(self)
         return record
 
-    def _index(self, payload: dict, line: str) -> None:
-        with self._connect() as conn:
-            self._insert(conn, payload, line)
-
-    @staticmethod
-    def _insert(conn: sqlite3.Connection, payload: dict, line: str) -> None:
-        conn.execute(
-            "INSERT INTO records (run_id, kind, name, created_at, git_sha,"
-            " scale, json) VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                payload["run_id"],
-                payload["kind"],
-                payload["name"],
-                float(payload.get("provenance", {}).get("created_unix")
-                      or time.time()),
-                payload.get("provenance", {}).get("git_sha"),
-                payload.get("identity", {}).get("scale"),
-                line,
-            ),
-        )
-
-    def rebuild_index(self) -> int:
-        """Reconstruct ``registry.db`` from the JSONL mirror; returns rows.
-
-        The rebuild happens in a temporary database that atomically
-        replaces the live one, so a crash mid-rebuild leaves either the
-        old index or the new one — never a half-filled database.
-        """
-        tmp_path = self.db_path.with_name(
-            self.db_path.name + f".tmp.{os.getpid()}")
-        if tmp_path.exists():
-            tmp_path.unlink()
-        count = 0
-        try:
-            conn = sqlite3.connect(tmp_path)
-            try:
-                conn.executescript(_SCHEMA)
-                for payload, line in self._iter_jsonl():
-                    self._insert(conn, payload, line)
-                    count += 1
-                conn.commit()
-            finally:
-                conn.close()
-            os.replace(tmp_path, self.db_path)
-        except BaseException:
-            if tmp_path.exists():
-                tmp_path.unlink()
-            raise
-        return count
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def count(self) -> int:
-        if not self.db_path.exists():
-            return 0
-        with self._connect() as conn:
-            row = conn.execute("SELECT COUNT(*) FROM records").fetchone()
-        return int(row[0])
 
     def latest(self, kind: Optional[str] = None,
                name: Optional[str] = None) -> Optional[dict]:
@@ -159,34 +78,20 @@ class RegistryStore:
     def list(self, kind: Optional[str] = None, name: Optional[str] = None,
              limit: int = 50) -> list[dict]:
         """Newest-first records matching the filters."""
-        if not self.db_path.exists():
-            return []
-        clauses, params = [], []
-        if kind is not None:
-            clauses.append("kind = ?")
-            params.append(kind)
-        if name is not None:
-            clauses.append("name = ?")
-            params.append(name)
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-        with self._connect() as conn:
-            rows = conn.execute(
-                f"SELECT json FROM records{where} ORDER BY seq DESC LIMIT ?",
-                (*params, int(limit)),
-            ).fetchall()
-        return [json.loads(row[0]) for row in rows]
+        newest: deque[dict] = deque(maxlen=max(0, int(limit)))
+        for payload in self._iter_jsonl():
+            if ((kind is None or payload.get("kind") == kind)
+                    and (name is None or payload.get("name") == name)):
+                newest.append(payload)
+        return list(reversed(newest))
 
     def history(self, run_id: str, limit: int = 50) -> list[dict]:
         """Newest-first occurrences of one identity hash."""
-        if not self.db_path.exists():
-            return []
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT json FROM records WHERE run_id = ?"
-                " ORDER BY seq DESC LIMIT ?",
-                (run_id, int(limit)),
-            ).fetchall()
-        return [json.loads(row[0]) for row in rows]
+        newest: deque[dict] = deque(maxlen=max(0, int(limit)))
+        for payload in self._iter_jsonl(needle=run_id):
+            if payload["run_id"] == run_id:
+                newest.append(payload)
+        return list(reversed(newest))
 
     def resolve(self, ref: str, nth: int = 0) -> dict:
         """Record whose run_id starts with ``ref`` (``nth`` newest-first).
@@ -194,18 +99,17 @@ class RegistryStore:
         Raises :class:`RegistryError` when the prefix matches nothing or
         is ambiguous across distinct run ids.
         """
-        if not self.db_path.exists():
+        if (not self.jsonl_path.exists()
+                or self.jsonl_path.stat().st_size == 0):
             raise RegistryError(
                 f"registry at {self.root} is empty; run `repro run`/`repro "
                 "sweep` or the benchmarks to populate it",
                 details={"root": str(self.root)},
             )
-        with self._connect() as conn:
-            ids = conn.execute(
-                "SELECT DISTINCT run_id FROM records WHERE run_id LIKE ?",
-                (ref + "%",),
-            ).fetchall()
-        distinct = sorted(row[0] for row in ids)
+        distinct = sorted({
+            payload["run_id"] for payload in self._iter_jsonl(needle=ref)
+            if payload["run_id"].startswith(ref)
+        })
         if not distinct:
             raise RegistryError(
                 f"no registry record matches run-id prefix {ref!r}",
@@ -230,23 +134,22 @@ class RegistryStore:
     # Internals
     # ------------------------------------------------------------------
 
-    def _connect(self) -> sqlite3.Connection:
-        self.root.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.db_path)
-        conn.executescript(_SCHEMA)
-        return conn
+    def _iter_jsonl(self, needle: str = "") -> Iterator[dict]:
+        """Records of the log, oldest first, skipping torn lines.
 
-    def _iter_jsonl(self):
+        Only lines whose text contains ``needle`` are parsed, so a
+        run-id lookup does not decode the whole log.
+        """
         if not self.jsonl_path.exists():
             return
         with open(self.jsonl_path, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                if needle not in line:
                     continue
                 try:
                     payload = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # torn tail from a crash mid-append
-                if isinstance(payload, dict) and "run_id" in payload:
-                    yield payload, line
+                    continue  # blank, or a torn tail from a crash mid-append
+                if isinstance(payload, dict) and isinstance(
+                        payload.get("run_id"), str):
+                    yield payload

@@ -19,9 +19,9 @@ that layer:
   once (never requeued), and a pool that keeps dying degrades
   gracefully to in-parent serial execution.
 * :mod:`repro.resilience.fsck` — registry self-healing: detect truncated
-  JSONL tails, hash mismatches, duplicate records and orphaned/missing
-  SQLite index rows; quarantine bad entries, restore restorable ones from
-  a sweep store, and rebuild the index.
+  JSONL tails, run-id and payload-hash mismatches and duplicate records;
+  quarantine bad entries, restore restorable ones from a sweep store, and
+  rewrite the log atomically.
 * :mod:`repro.resilience.chaos` — the end-to-end proof: run a sweep under
   a fault schedule and assert the final store and registry are
   byte-identical to a fault-free serial run.

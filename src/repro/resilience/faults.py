@@ -30,8 +30,8 @@ itself (heartbeats cease, which is exactly what the supervisor's
 deadline detects). ``torn-write`` persists half a line then fails the
 write; ``disk-full`` and ``fsync-fail`` raise transient ``OSError``\\ s.
 ``corrupt-record`` flips a metric inside the just-ingested registry
-record — in the JSONL mirror *and* the SQLite index — producing a
-syntactically valid record whose payload hash no longer matches.
+record, producing a syntactically valid record whose payload hash no
+longer matches.
 """
 
 from __future__ import annotations
@@ -219,11 +219,9 @@ def corrupt_last_record(store: Any) -> Optional[str]:
     """Corrupt the newest record of a registry store, returning its run id.
 
     Flips a metric inside ``data.sweep_record`` (falling back to the
-    top-level ``metrics``) of the last JSONL line and mirrors the
-    corruption into the SQLite index row, so both read paths serve the
-    bad payload. The record stays syntactically valid JSON — only
-    content-hash verification (``repro fsck``, the sweep's memo check)
-    can tell.
+    top-level ``metrics``) of the last line of the registry log. The
+    record stays syntactically valid JSON — only content-hash
+    verification (``repro fsck``, the sweep's memo check) can tell.
     """
     jsonl_path = store.jsonl_path
     with open(jsonl_path, "r", encoding="utf-8") as fh:
@@ -240,17 +238,8 @@ def corrupt_last_record(store: Any) -> Optional[str]:
             break
     else:
         target["__corrupt__"] = 1.0
-    corrupted = json.dumps(payload, sort_keys=True, default=str)
-    lines[-1] = corrupted
+    lines[-1] = json.dumps(payload, sort_keys=True, default=str)
     from repro.resilience.atomic import atomic_write
 
     atomic_write(jsonl_path, "\n".join(lines) + "\n")
-    import sqlite3
-
-    with sqlite3.connect(store.db_path) as conn:
-        conn.execute(
-            "UPDATE records SET json = ? WHERE seq = "
-            "(SELECT MAX(seq) FROM records)",
-            (corrupted,),
-        )
     return str(payload.get("run_id"))

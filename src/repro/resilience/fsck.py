@@ -11,16 +11,13 @@ produces):
 * **payload-hash mismatches** — an archived sweep record whose recomputed
   sha256 disagrees with the ``sweep_record_sha256`` stamped at ingest
   (bit rot or a corrupted archive: still valid JSON, wrong numbers);
-* **duplicates** — byte-identical repeated lines (a replayed append);
-* **index drift** — SQLite rows with no matching JSONL line (orphaned) or
-  JSONL lines the index never received (missing).
+* **duplicates** — byte-identical repeated lines (a replayed append).
 
 ``--repair`` quarantines every bad raw line under
 ``<registry>/quarantine/``, restores restorable records from a sweep
 store (an archived sweep record is a pure function of its JSONL source
-under a pinned provenance epoch, so restoration is lossless), rewrites
-``records.jsonl`` atomically, and rebuilds the SQLite index from the
-healed mirror.
+under a pinned provenance epoch, so restoration is lossless) and
+rewrites ``records.jsonl`` atomically. A clean log is left untouched.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ class FsckIssue:
     """One detected problem, with its (optional) repair outcome."""
 
     kind: str  # torn-line | run-id-mismatch | payload-hash-mismatch |
-    #            duplicate | missing-index-row | orphaned-index-row
+    #            duplicate
     detail: str
     lineno: Optional[int] = None
     run_id: Optional[str] = None
@@ -58,7 +55,7 @@ class FsckReport:
     """Outcome of one :func:`fsck` pass."""
 
     root: str
-    #: Well-formed records seen in the JSONL mirror.
+    #: Well-formed records seen in the log.
     records: int = 0
     issues: list[FsckIssue] = field(default_factory=list)
     #: True when a repair pass rewrote the store.
@@ -134,10 +131,9 @@ def fsck(
 
     With ``repair``, bad lines are quarantined (raw, under
     ``<registry>/quarantine/``), records restorable from the
-    ``restore_from`` sweep store are regenerated in place, the JSONL
-    mirror is rewritten atomically and the SQLite index rebuilt from it.
-    The returned report reflects what was *found*; per-issue
-    ``repaired``/``quarantined`` flags say what happened to each.
+    ``restore_from`` sweep store are regenerated in place and the log is
+    rewritten atomically. The returned report reflects what was *found*;
+    per-issue ``repaired``/``quarantined`` flags say what happened to each.
     """
     report = FsckReport(root=str(store.root))
     jsonl_path = pathlib.Path(store.jsonl_path)
@@ -154,7 +150,6 @@ def fsck(
     kept: list[str] = []
     quarantined_raw: list[str] = []
     seen: set[str] = set()
-    mutated = False
     for lineno, raw in enumerate(raw_lines, start=1):
         stripped = raw.strip()
         issue: Optional[FsckIssue] = None
@@ -203,7 +198,6 @@ def fsck(
                 "run-id-mismatch", "payload-hash-mismatch")
             else None
         )
-        mutated = True
         if restored is not None:
             issue.repaired = True
             seen.add(restored)
@@ -213,73 +207,16 @@ def fsck(
             issue.quarantined = True
             quarantined_raw.append(raw)
 
-    # Index drift: the SQLite rows must be exactly the good JSONL lines.
-    index_lines = _index_lines(store)
-    if index_lines is not None:
-        jsonl_counts = Counter(kept)
-        index_counts = Counter(index_lines)
-        for line, count in sorted(jsonl_counts.items()):
-            missing = count - index_counts.get(line, 0)
-            if missing > 0:
-                report.issues.append(FsckIssue(
-                    "missing-index-row",
-                    f"{missing} record(s) absent from the SQLite index "
-                    f"(run_id {_line_run_id(line)})",
-                    run_id=_line_run_id(line),
-                    repaired=repair,
-                ))
-                mutated = mutated or repair
-        for line, count in sorted(index_counts.items()):
-            orphaned = count - jsonl_counts.get(line, 0)
-            if orphaned > 0:
-                report.issues.append(FsckIssue(
-                    "orphaned-index-row",
-                    f"{orphaned} index row(s) with no matching JSONL "
-                    f"record (run_id {_line_run_id(line)})",
-                    run_id=_line_run_id(line),
-                    repaired=repair,
-                ))
-                mutated = mutated or repair
-
-    if repair:
+    if repair and report.issues:
         if quarantined_raw:
             quarantine_path = (
                 pathlib.Path(store.root) / "quarantine" / QUARANTINE_FILE)
             for raw in quarantined_raw:
                 append_line(quarantine_path, raw)
             report.quarantine_path = str(quarantine_path)
-        if mutated or not pathlib.Path(store.db_path).exists():
-            if jsonl_path.exists() or kept:
-                atomic_write(
-                    jsonl_path,
-                    "".join(line + "\n" for line in kept))
-            store.rebuild_index()
-            report.repaired = True
+        atomic_write(jsonl_path, "".join(line + "\n" for line in kept))
+        report.repaired = True
     return report
-
-
-def _index_lines(store: Any) -> Optional[list[str]]:
-    """Raw record JSON of every SQLite index row (None: no index yet)."""
-    import sqlite3
-
-    db_path = pathlib.Path(store.db_path)
-    if not db_path.exists():
-        return None
-    try:
-        with sqlite3.connect(db_path) as conn:
-            rows = conn.execute(
-                "SELECT json FROM records ORDER BY seq").fetchall()
-    except sqlite3.DatabaseError:
-        return []  # unreadable index: every JSONL line is "missing"
-    return [row[0] for row in rows]
-
-
-def _line_run_id(line: str) -> Optional[str]:
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    return payload.get("run_id") if isinstance(payload, dict) else None
 
 
 def format_fsck(report: FsckReport) -> str:
@@ -299,8 +236,7 @@ def format_fsck(report: FsckReport) -> str:
         lines.append("clean: no issues found")
     elif report.repaired:
         lines.append(
-            f"repaired: {len(report.issues)} issue(s) resolved "
-            "(index rebuilt)")
+            f"repaired: {len(report.issues)} issue(s) resolved")
     else:
         lines.append(
             f"found {len(report.issues)} issue(s); re-run with --repair")

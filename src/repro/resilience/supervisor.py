@@ -56,8 +56,6 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.resilience import faults
-from repro.telemetry import flight
-from repro.telemetry.metrics import get_registry
 
 
 class PointQuarantined(ReproError):
@@ -198,8 +196,6 @@ class SupervisedPool:
         self._workers[worker_id] = proc
         self._queues[worker_id] = task_queue
         self._idle.append(worker_id)
-        get_registry().gauge("pool.workers.alive").set(len(self._workers))
-        flight.record("pool.worker_spawned", worker=worker_id)
         return worker_id
 
     def _kill_worker(self, worker_id: int) -> None:
@@ -216,7 +212,6 @@ class SupervisedPool:
             with contextlib.suppress(Exception):
                 task_queue.cancel_join_thread()
                 task_queue.close()
-        get_registry().gauge("pool.workers.alive").set(len(self._workers))
 
     def _shutdown(self) -> None:
         for worker_id in list(self._workers):
@@ -263,13 +258,6 @@ class SupervisedPool:
             self._event(
                 f"quarantined point {index} after {attempt} "
                 f"attempts ({kind}: {detail})")
-            get_registry().counter("pool.worker.quarantines").inc()
-            flight.record("pool.quarantine", index=index,
-                          attempts=attempt, cause=kind)
-            flight.dump("pool-quarantine", details={
-                "index": index, "attempts": attempt,
-                "kind": kind, "detail": detail,
-            })
             return PointQuarantined(
                 f"point abandoned after {attempt} attempts "
                 f"({kind}: {detail})",
@@ -291,10 +279,6 @@ class SupervisedPool:
                 f"requeueing point {index} (attempt "
                 f"{attempt + 1}/{cfg.max_attempts}, {kind}, "
                 f"backoff {delay:.2f}s)")
-            get_registry().counter("pool.worker.requeues").inc()
-            flight.record("pool.requeue", index=index,
-                          attempt=attempt + 1, cause=kind,
-                          backoff_s=round(delay, 3))
             seq += 1
             heapq.heappush(pending, (time.monotonic() + delay, seq, index))
             return None
@@ -377,14 +361,6 @@ class SupervisedPool:
                         assigned.pop(worker_id, None)
                         self._kill_worker(worker_id)
                         self.worker_deaths += 1
-                        get_registry().counter("pool.worker.deaths").inc()
-                        flight.record("pool.worker_death", worker=worker_id,
-                                      cause="hang", index=assignment.index,
-                                      silent_s=round(silent, 2))
-                        flight.dump("pool-worker-hang", details={
-                            "worker": worker_id, "index": assignment.index,
-                            "silent_s": round(silent, 2),
-                        })
                         abandoned = escalate(
                             assignment.index, "worker-hang",
                             f"no heartbeat for {silent:.1f}s")
@@ -400,17 +376,6 @@ class SupervisedPool:
                     assignment = assigned.pop(worker_id, None)
                     self._kill_worker(worker_id)
                     self.worker_deaths += 1
-                    get_registry().counter("pool.worker.deaths").inc()
-                    flight.record(
-                        "pool.worker_death", worker=worker_id, cause="crash",
-                        exitcode=exitcode,
-                        index=(assignment.index
-                               if assignment is not None else None))
-                    flight.dump("pool-worker-crash", details={
-                        "worker": worker_id, "exitcode": exitcode,
-                        "index": (assignment.index
-                                  if assignment is not None else None),
-                    })
                     if assignment is not None:
                         self._event(
                             f"worker {worker_id} died on point "
@@ -436,7 +401,6 @@ class SupervisedPool:
                 self._event(
                     f"pool degraded to serial after "
                     f"{self.worker_deaths} worker deaths")
-                flight.record("pool.degraded", deaths=self.worker_deaths)
             for worker_id in list(self._workers):
                 self._kill_worker(worker_id)
             return

@@ -50,6 +50,13 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "unknown rule code" in proc.stderr
 
+    def test_unknown_suppression_code_exits_one(self, tmp_path):
+        target = tmp_path / "stale.py"
+        target.write_text("VALUE = 1\nOTHER = 2  # simlint: ignore[SL001]\n")
+        proc = run_cli(str(target))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert re.search(r"stale\.py:2:\d+: SL000 .*SL001", proc.stdout)
+
     def test_default_path_is_repo_package_and_clean(self):
         # No paths: lints the installed repro package, which must be clean.
         proc = run_cli()

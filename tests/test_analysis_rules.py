@@ -335,6 +335,20 @@ class TestEngineBehaviour:
         result = run_lint([target])
         assert by_rule(result) == {"SL004": 1}
 
+    def test_unknown_suppression_code_is_a_finding(self, tmp_path):
+        target = tmp_path / "stale.py"
+        target.write_text("VALUE = 1  # simlint: ignore[SL001, SL04]\n")
+        result = run_lint([target])
+        assert [(f.line, f.rule) for f in result.findings] == [
+            (1, "SL000"), (1, "SL000")]
+        assert "SL001" in result.findings[0].message
+        assert "SL04" in result.findings[1].message
+
+    def test_suppression_text_in_a_string_is_not_a_suppression(self, tmp_path):
+        target = tmp_path / "help_text.py"
+        target.write_text('HELP = "# simlint: ignore[CODE]"\n')
+        assert run_lint([target]).clean
+
     def test_skip_file(self, tmp_path):
         target = tmp_path / "skipped.py"
         target.write_text(textwrap.dedent("""\

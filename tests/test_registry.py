@@ -2,7 +2,7 @@
 
 The registry is the paper trail for every reproduced number: the same
 logical experiment must always hash to the same run id, the store must
-survive losing its SQLite index, and ``repro diff`` must exit nonzero on
+answer every query from its one JSONL log, and ``repro diff`` must exit nonzero on
 drift — that exit code is the CI regression gate.
 """
 
@@ -119,7 +119,7 @@ class TestStore:
     def test_every_occurrence_is_kept(self, store):
         record = store.put(figure_record("figure10", fig_payload(), 0.5))
         store.put(figure_record("figure10", fig_payload(), 0.5))
-        assert store.count() == 2
+        assert len(store.list()) == 2
         assert len(store.history(record.run_id)) == 2
 
     def test_list_filters_by_kind_and_name(self, store):
@@ -152,19 +152,56 @@ class TestStore:
         with pytest.raises(RegistryError, match="ambiguous"):
             store.resolve("")
 
-    def test_rebuild_index_from_jsonl(self, store):
+    def test_queries_skip_torn_jsonl_tail(self, store):
         record = store.put(figure_record("figure10", fig_payload(), 0.5))
-        store.put(figure_record("figure12", fig_payload(), 0.5))
-        store.db_path.unlink()
-        assert store.count() == 0
-        assert store.rebuild_index() == 2
-        assert store.resolve(record.run_id)["name"] == "figure10"
-
-    def test_rebuild_skips_torn_jsonl_tail(self, store):
-        store.put(figure_record("figure10", fig_payload(), 0.5))
         with open(store.jsonl_path, "a", encoding="utf-8") as fh:
-            fh.write('{"run_id": "trunc')  # crash mid-append
-        assert store.rebuild_index() == 1
+            fh.write('{"run_id": "' + record.run_id)  # crash mid-append
+        assert [r["run_id"] for r in store.list()] == [record.run_id]
+        assert len(store.history(record.run_id)) == 1
+        assert store.resolve(record.run_id[:6])["name"] == "figure10"
+
+
+class TestLogOnlyRegistry:
+    """A registry directory holding nothing but ``records.jsonl``."""
+
+    @staticmethod
+    def write_log(root, records):
+        root.mkdir(parents=True)
+        (root / "records.jsonl").write_text("".join(
+            json.dumps(r.as_dict(), sort_keys=True, default=str) + "\n"
+            for r in records), encoding="utf-8")
+        return RegistryStore(root)
+
+    def test_log_answers_resolve_and_history(self, tmp_path):
+        first = figure_record("figure10", fig_payload(1.0), 0.5)
+        other = figure_record("figure12", fig_payload(), 0.5)
+        second = figure_record("figure10", fig_payload(2.0), 0.5)
+        store = self.write_log(tmp_path / "reg",
+                               [first, other, second])
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            "records.jsonl"]
+        history = store.history(first.run_id)
+        assert [r["metrics"]["GMEAN"] for r in history] == [2.0, 1.0]
+        assert store.resolve(first.run_id[:6])["metrics"]["GMEAN"] == 2.0
+        assert store.resolve(first.run_id, nth=1)["metrics"]["GMEAN"] == 1.0
+        assert store.latest(kind="figure")["run_id"] == first.run_id
+        assert [r["name"] for r in store.list(limit=2)] == [
+            "figure10", "figure12"]
+
+    def test_warm_sweep_replays_every_point_from_the_log(self, tmp_path):
+        points = sweep_points(["KM", "BFS"], ["base"], [0.05])
+        cold = RegistryStore(tmp_path / "cold")
+        run_sweep(points, str(tmp_path / "cold.jsonl"), registry=cold)
+        log_only = tmp_path / "log-only"
+        log_only.mkdir()
+        (log_only / "records.jsonl").write_bytes(
+            cold.jsonl_path.read_bytes())
+        summary = run_sweep(points, str(tmp_path / "warm.jsonl"),
+                            registry=RegistryStore(log_only))
+        assert summary.cache_hits == len(points)
+        assert summary.simulated == 0
+        assert ((tmp_path / "warm.jsonl").read_bytes()
+                == (tmp_path / "cold.jsonl").read_bytes())
 
 
 class TestProvenance:
@@ -214,7 +251,7 @@ class TestCLIIngestion:
     def test_no_registry_flag_skips_ingestion(self, store):
         assert main(["run", "KM", "base", "--scale", "0.05",
                      "--no-registry"]) == 0
-        assert store.count() == 0
+        assert store.list() == []
 
     def test_figure_command_ingests_a_figure_record(self, store, capsys):
         assert main(["figure", "12", "--scale", "0.05",

@@ -29,7 +29,6 @@ from repro.resilience.atomic import append_line
 from repro.resilience.chaos import format_chaos, run_chaos
 from repro.resilience.faults import FaultEvent, FaultPlan, corrupt_last_record
 from repro.resilience.supervisor import SupervisorConfig
-from repro.telemetry.flight import validate_flight_dump
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -295,31 +294,6 @@ class TestSupervisedPoolRecovery:
         assert summary.failed == 0
         assert chaotic.read_bytes() == serial.read_bytes()
         assert "pool degraded to serial" in capsys.readouterr().err
-
-
-class TestFlightDumpOnWorkerCrash:
-    def test_poisoned_point_leaves_a_flight_dump_beside_quarantine(
-            self, tmp_path, monkeypatch, fast_supervisor):
-        dump_dir = tmp_path / "dumps"
-        monkeypatch.setenv("REPRO_DUMP_DIR", str(dump_dir))
-        faults.arm(FaultPlan(events=[
-            FaultEvent("worker.point", 0, "crash", every_attempt=True)]))
-        out = tmp_path / "poisoned.jsonl"
-        summary = run_sweep(
-            tiny_points(["KM"]), str(out), gpu_config=make_config(), jobs=2,
-            supervisor=fast_supervisor(max_attempts=2))
-        assert summary.quarantined_keys  # the quarantine record exists...
-        crash_dumps = sorted(dump_dir.glob("flight-pool-worker-crash-*.json"))
-        quarantine_dumps = sorted(
-            dump_dir.glob("flight-pool-quarantine-*.json"))
-        assert crash_dumps and quarantine_dumps  # ...and so do the dumps.
-
-        payload = json.loads(quarantine_dumps[0].read_text())
-        assert validate_flight_dump(payload) == []
-        assert payload["details"]["kind"] == "worker-crash"
-        kinds = [event["kind"] for event in payload["events"]]
-        assert "pool.worker_death" in kinds
-        assert "pool.quarantine" in kinds
 
 
 class TestMemoHashVerification:
