@@ -4,8 +4,7 @@ Commands::
 
     list                                 workloads and configurations
     run APP CONFIG [--scale S]           simulate one point, print metrics
-    trace APP CONFIG [--out DIR]         run with full telemetry: Chrome
-                                         trace, interval JSONL, stall report
+                                         (and, traced, its stall report)
     compare APP [CONFIG ...]             speedups over baseline for one app
     characterize APP [--scale S]         Table I rows for one workload
     table {1,2} [--scale S]              regenerate a paper table
@@ -22,21 +21,27 @@ Commands::
                                          output byte-identical to clean run
     fsck [--repair]                      audit (and heal) the run registry
 
-``run`` takes ``--telemetry`` (stall attribution + heartbeat),
-``--trace-out FILE`` (Chrome trace-event JSON; open in chrome://tracing
-or https://ui.perfetto.dev) and ``--intervals-out FILE`` (windowed
-metrics as JSONL); ``sweep`` takes ``--telemetry``/``--trace-dir`` to
-add a per-point stall breakdown (and optional traces) to its records.
+``run`` is the traced run: ``--telemetry`` (stall attribution,
+reconciled exactly against the counters, + heartbeat), ``--trace-out
+FILE`` (Chrome trace-event JSON; open in chrome://tracing or
+https://ui.perfetto.dev) and ``--intervals-out FILE`` (windowed metrics
+as JSONL); ``sweep`` takes ``--telemetry``/``--trace-dir`` to add a
+per-point stall breakdown (and optional traces) to its records. For host
+time, profile ``run`` with the standard library::
+
+    python -m cProfile -o host.pstats -m repro run KM apres --scale 0.3
 
 ``run`` and ``sweep`` accept ``--cycle-budget N`` (hard simulated-cycle
 limit) and ``--watchdog N`` (abort after N cycles without progress, with a
-diagnostic dump). ``sweep``, ``figure``, ``table`` and ``scorecard``
-accept ``--jobs N`` (or ``$REPRO_JOBS``; ``0`` = one worker per CPU) to
+diagnostic dump). ``sweep``, ``figure`` and ``scorecard`` accept
+``--jobs N`` (or ``$REPRO_JOBS``; ``0`` = one worker per CPU) to
 fan independent simulation points over a process pool — results are
 bit-identical to a serial run because each point is deterministic and all
-persistence stays in the parent process. ``sweep --no-cache`` forces
-re-simulation of points whose records the registry already holds
-(otherwise they are replayed verbatim — run memoization). A sweep
+persistence stays in the parent process; a sweep prints the same
+``[sweep]`` line per stored point, in point order, at any ``--jobs``.
+``sweep --no-cache`` forces re-simulation of points whose records the
+registry already holds (otherwise they are replayed verbatim — run
+memoization). A sweep
 persists each finished point to its JSONL store immediately, so an
 interrupted sweep resumes where it left off::
 
@@ -126,38 +131,23 @@ def _limited_gpu_config(args: argparse.Namespace):
     )
 
 
-def _telemetry_wanted(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "telemetry", False)
-        or getattr(args, "trace_out", None)
-        or getattr(args, "intervals_out", None)
-    )
-
-
 def _build_run_hub(args: argparse.Namespace):
-    """TelemetryHub for ``run``/``trace`` flags; None when telemetry is off."""
-    if not _telemetry_wanted(args):
+    """TelemetryHub for ``run``'s flags; None when telemetry is off."""
+    if not (args.telemetry or args.trace_out or args.intervals_out):
         return None
     from repro.telemetry import HeartbeatSink, IntervalJSONLWriter, TelemetryHub
 
-    hub = TelemetryHub(
-        window=getattr(args, "window", None) or 5_000,
-        trace=bool(getattr(args, "trace_out", None)),
-    )
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out and os.path.dirname(trace_out):
-        os.makedirs(os.path.dirname(trace_out), exist_ok=True)
-    intervals_out = getattr(args, "intervals_out", None)
-    if intervals_out:
-        if os.path.dirname(intervals_out):
-            os.makedirs(os.path.dirname(intervals_out), exist_ok=True)
-        if os.path.exists(intervals_out):
-            os.remove(intervals_out)  # the writer appends (resume-safe)
-        hub.add_interval_sink(IntervalJSONLWriter(intervals_out))
-    if not getattr(args, "no_heartbeat", False):
-        hub.add_interval_sink(
-            HeartbeatSink(cycle_budget=getattr(args, "cycle_budget", None) or 0)
-        )
+    hub = TelemetryHub(window=args.window or 5_000, trace=bool(args.trace_out))
+    if args.trace_out and os.path.dirname(args.trace_out):
+        os.makedirs(os.path.dirname(args.trace_out), exist_ok=True)
+    if args.intervals_out:
+        if os.path.dirname(args.intervals_out):
+            os.makedirs(os.path.dirname(args.intervals_out), exist_ok=True)
+        if os.path.exists(args.intervals_out):
+            os.remove(args.intervals_out)  # the writer appends (resume-safe)
+        hub.add_interval_sink(IntervalJSONLWriter(args.intervals_out))
+    if not args.no_heartbeat:
+        hub.add_interval_sink(HeartbeatSink(cycle_budget=args.cycle_budget or 0))
     return hub
 
 
@@ -244,11 +234,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print()
         print(format_table(["Stall cause", "Cycles", "Share"],
                            _stall_rows(report), title="Stall attribution"))
-        if getattr(args, "trace_out", None):
+        if args.trace_out:
             hub.trace.write(args.trace_out)
             print(f"chrome trace: {args.trace_out} "
                   "(open in chrome://tracing or https://ui.perfetto.dev)")
-        if getattr(args, "intervals_out", None):
+        if args.intervals_out:
             print(f"interval metrics: {args.intervals_out}")
     registry = _registry(args)
     if registry is not None:
@@ -260,73 +250,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             stalls=stalls, wall_time_s=wall_time_s,
         ))
         print(f"registry: {record.run_id} -> {registry.root}")
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.telemetry import (
-        HeartbeatSink,
-        IntervalJSONLWriter,
-        PhaseTimer,
-        RunProfiler,
-        TelemetryHub,
-    )
-
-    out_dir = args.out or os.path.join("traces", f"{args.app}_{args.config}")
-    os.makedirs(out_dir, exist_ok=True)
-    intervals_path = os.path.join(out_dir, "intervals.jsonl")
-    if os.path.exists(intervals_path):
-        os.remove(intervals_path)  # the writer appends (resume-safe)
-
-    hub = TelemetryHub(window=args.window, trace=True)
-    hub.add_interval_sink(IntervalJSONLWriter(intervals_path))
-    if not args.no_heartbeat:
-        hub.add_interval_sink(HeartbeatSink(cycle_budget=args.cycle_budget or 0))
-
-    timer = PhaseTimer()
-    profiler = RunProfiler() if args.profile else None
-    gpu_config = _limited_gpu_config(args)
-    with timer.phase("simulate"):
-        if profiler is not None:
-            result = profiler.run(
-                run, args.app, args.config, scale=args.scale,
-                gpu_config=gpu_config, telemetry=hub,
-            )
-        else:
-            result = run(args.app, args.config, scale=args.scale,
-                         gpu_config=gpu_config, telemetry=hub)
-
-    stats = result.sim.stats
-    with timer.phase("export"):
-        report = hub.reconcile(stats)  # raises if attribution drifted
-        trace_path = os.path.join(out_dir, "trace.json")
-        hub.trace.write(trace_path)
-        stalls_path = os.path.join(out_dir, "stalls.json")
-        atomic_write(stalls_path,
-                     json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    print(format_table(
-        ["Stall cause", "Cycles", "Share"], _stall_rows(report),
-        title=f"{args.app} under {args.config}: stall attribution "
-              f"(cycles={stats.cycles}, IPC={stats.ipc:.3f})"))
-    print()
-    print(f"reconciliation: issue+stall == {stats.cycles} cycles x "
-          f"{report['reconciliation']['num_sms']} SMs (exact)")
-    print(f"events captured: {hub.events_emitted}")
-    print(f"chrome trace:     {trace_path} "
-          "(open in chrome://tracing or https://ui.perfetto.dev)")
-    print(f"interval metrics: {intervals_path}")
-    print(f"stall report:     {stalls_path}")
-    if profiler is not None:
-        profile_path = os.path.join(out_dir, "host_profile.pstats")
-        profiler.dump(profile_path)
-        print(f"host profile:     {profile_path}")
-        print()
-        print(profiler.format_report(limit=args.profile_limit))
-    print()
-    print(timer.format_report())
     return 0
 
 
@@ -447,7 +370,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import ProgressWriter
     from repro.experiments.sweep import run_sweep, sweep_points
     from repro.resilience.supervisor import SupervisorConfig
 
@@ -459,15 +381,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_REPRO_ERROR
 
     jobs = _resolved_jobs(args)
-    # One writer for progress lines and (parallel) worker heartbeats, so
-    # concurrent sources never interleave mid-line.
-    writer = ProgressWriter()
 
     def show_progress(point, record) -> None:
         status = record["status"]
         extra = (f"ipc={record['ipc']:.3f}" if status == "ok"
                  else f"{record['error']}: {record['message']}")
-        writer.line(f"[sweep] {point.key}: {status} ({extra})")
+        print(f"[sweep] {point.key}: {status} ({extra})", flush=True)
 
     registry = _registry(args)
     summary = run_sweep(
@@ -483,7 +402,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         registry=registry,
         jobs=jobs,
         use_cache=not args.no_cache,
-        heartbeat_writer=writer,
         retry_failed=args.retry_failed,
         supervisor=SupervisorConfig(deadline_s=args.worker_deadline,
                                     max_attempts=args.max_attempts),
@@ -770,12 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-dir", default=None, metavar="DIR",
                        help="write watchdog diagnostic dumps (JSON) to DIR")
 
-    def add_telemetry_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--window", type=int, default=5_000, metavar="N",
-                       help="interval-metrics window in simulated cycles")
-        p.add_argument("--no-heartbeat", action="store_true",
-                       help="suppress the periodic progress line on stderr")
-
     def add_registry_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--no-registry", action="store_true",
                        help="skip ingesting results into the run registry "
@@ -804,27 +716,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--intervals-out", metavar="FILE", default=None,
                        help="write interval metrics as JSONL (implies "
                             "--telemetry)")
-    add_telemetry_flags(p_run)
+    p_run.add_argument("--window", type=int, default=5_000, metavar="N",
+                       help="interval-metrics window in simulated cycles")
+    p_run.add_argument("--no-heartbeat", action="store_true",
+                       help="suppress the periodic progress line on stderr")
     add_integrity_flags(p_run)
     add_registry_flag(p_run)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="run one point with full telemetry: Chrome trace, interval "
-             "JSONL, stall attribution, optional host profile",
-    )
-    p_trace.add_argument("app", choices=sorted(SUITE))
-    p_trace.add_argument("config", choices=sorted(CONFIGS))
-    p_trace.add_argument("--scale", type=float, default=0.5)
-    p_trace.add_argument("--out", metavar="DIR", default=None,
-                         help="output directory (default traces/APP_CONFIG)")
-    p_trace.add_argument("--profile", action="store_true",
-                         help="cProfile the host process and report hot "
-                              "functions")
-    p_trace.add_argument("--profile-limit", type=int, default=15, metavar="N",
-                         help="functions to show in the profile report")
-    add_telemetry_flags(p_trace)
-    add_integrity_flags(p_trace)
 
     p_cmp = sub.add_parser("compare", help="speedups over baseline for one app")
     p_cmp.add_argument("app", choices=sorted(SUITE))
@@ -838,7 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="regenerate a paper table")
     p_table.add_argument("number", type=int, choices=(1, 2))
     p_table.add_argument("--scale", type=float, default=0.5)
-    add_parallel_flags(p_table)
     add_registry_flag(p_table)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure's data")
@@ -1010,7 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
-    "trace": _cmd_trace,
     "compare": _cmd_compare,
     "characterize": _cmd_characterize,
     "table": _cmd_table,

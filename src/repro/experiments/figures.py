@@ -35,7 +35,7 @@ FIG4_CONFIGS = ["pa+str", "gto+str", "mascar+str", "ccws+str"]
 
 
 def geomean(values: Sequence[float]) -> float:
-    """Geometric mean; 0 for empty input."""
+    """Geometric mean of the positive values; 0 for empty input."""
     vals = [v for v in values if v > 0]
     if not vals:
         return 0.0

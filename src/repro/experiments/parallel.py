@@ -12,9 +12,7 @@ dies has its point requeued instead of breaking the run:
   same wrapper as a serial sweep (one run, failures become records)
   inside each worker and yielding records back as they complete; the
   sweep driver reorders them into point order so the JSONL store is
-  byte-identical to a serial run. Per-point telemetry heartbeats come
-  back over the pool's result queue and are rendered through one
-  :class:`ProgressWriter`.
+  byte-identical to a serial run.
 * :func:`prewarm` simulates runner points in the pool and seeds the
   in-process memoisation cache, so figures/scorecards — which only ever
   call :func:`repro.experiments.runner.run` — parallelise without knowing
@@ -23,17 +21,17 @@ dies has its point requeued instead of breaking the run:
 
 Workers inherit the parent's environment but never touch the registry or
 the results store; all persistence stays in the parent, so there is a
-single writer per output file regardless of ``--jobs``.
+single writer per output file regardless of ``--jobs``. Workers send
+back results only: the parent's ``[sweep]`` line per flushed point is the
+one progress stream, the same serially and at any ``--jobs``.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
-import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.config import GPUConfig
 from repro.resilience.supervisor import (
@@ -41,7 +39,6 @@ from repro.resilience.supervisor import (
     SupervisedPool,
     SupervisorConfig,
 )
-from repro.telemetry.export import TelemetrySink
 
 #: One prewarmable runner point: (workload, config_name, scale, gpu_config).
 RunPoint = tuple[str, str, float, Optional[GPUConfig]]
@@ -69,52 +66,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
-class ProgressWriter:
-    """Line-oriented writer shared by every progress source of one command.
-
-    Sweep progress lines, worker heartbeats and cache notes all funnel
-    through :meth:`line`, which holds a lock for the write+flush pair — so
-    concurrent sources can never interleave mid-line, no matter how many
-    workers are reporting.
-    """
-
-    def __init__(self, stream: Optional[TextIO] = None):
-        self._stream = stream if stream is not None else sys.stdout
-        self._lock = threading.Lock()
-
-    def line(self, text: str) -> None:
-        with self._lock:
-            self._stream.write(text + "\n")
-            self._stream.flush()
-
-
-class QueueHeartbeatSink(TelemetrySink):
-    """Telemetry interval sink that forwards worker heartbeats to the parent.
-
-    Installed on the per-point :class:`~repro.telemetry.TelemetryHub`
-    inside pool workers; each interval becomes one small tuple put on the
-    pool's telemetry channel, which :func:`run_point_tasks` renders in the
-    parent. Subclassing
-    :class:`~repro.telemetry.export.TelemetrySink` matters: the hub calls
-    ``finish`` on every attached sink at run close, and a bare duck-typed
-    sink would crash there.
-    """
-
-    def __init__(self, queue: Any, key: str):
-        self._queue = queue
-        self._key = key
-
-    def on_interval(self, record: dict[str, Any]) -> None:
-        try:
-            self._queue.put(
-                (self._key, record.get("cycle_end"), record.get("ipc"),
-                 record.get("ipc_cum"))
-            )
-        except Exception:  # simlint: ignore[SL008]
-            # A torn-down channel must never take the simulation down.
-            pass
-
-
 def _pool(config: Optional[SupervisorConfig] = None) -> SupervisedPool:
     """A pool whose escalation events go to stderr as ``[supervisor]`` lines."""
     return SupervisedPool(
@@ -140,7 +91,7 @@ class PointTask:
     telemetry_window: int
 
 
-def _run_point_task(task: PointTask, heartbeats: Any) -> dict:
+def _run_point_task(task: PointTask) -> dict:
     """Worker entry: the serial sweep's wrapper around one point."""
     from repro.experiments.sweep import _run_point
 
@@ -150,8 +101,6 @@ def _run_point_task(task: PointTask, heartbeats: Any) -> dict:
         telemetry=task.telemetry,
         trace_dir=task.trace_dir,
         telemetry_window=task.telemetry_window,
-        heartbeat_sink=(QueueHeartbeatSink(heartbeats, task.point.key)
-                        if task.telemetry else None),
     )
 
 
@@ -159,7 +108,6 @@ def run_point_tasks(
     tasks: Sequence[PointTask],
     jobs: int,
     supervisor: Optional[SupervisorConfig] = None,
-    heartbeat_writer: Optional[ProgressWriter] = None,
 ) -> Iterator[tuple[int, Any]]:
     """Execute sweep-point tasks on the pool, yielding in completion order.
 
@@ -169,20 +117,10 @@ def run_point_tasks(
     The caller owns ordering — see
     :func:`repro.experiments.sweep.run_sweep`, which holds completed
     records back until every earlier point has flushed. ``supervisor``
-    sets the heartbeat deadline and attempt budget; ``heartbeat_writer``
-    receives one line per worker telemetry interval.
+    sets the heartbeat deadline and attempt budget.
     """
-    on_telemetry = None
-    if heartbeat_writer is not None:
-        def on_telemetry(heartbeat: tuple) -> None:
-            # The serial telemetry heartbeat's format, prefixed with the
-            # point key it belongs to.
-            key, cycle_end, ipc, ipc_cum = heartbeat
-            heartbeat_writer.line(
-                f"[telemetry] {key}: cycle {cycle_end:,} | "
-                f"IPC {ipc:.3f} (cum {ipc_cum:.3f})")
     for position, payload in _pool(supervisor).run(
-            _run_point_task, tasks, jobs, on_telemetry=on_telemetry):
+            _run_point_task, tasks, jobs):
         yield tasks[position].index, payload
 
 
@@ -191,7 +129,7 @@ def run_point_tasks(
 # ----------------------------------------------------------------------
 
 
-def _prewarm_worker(point: RunPoint, _telemetry: Any):
+def _prewarm_worker(point: RunPoint):
     from repro.experiments.runner import run
 
     return run(*point)
@@ -233,10 +171,6 @@ def prewarm(points: Iterable[RunPoint], jobs: int) -> int:
     return len(todo)
 
 
-def _map_item(fn: Callable[[Any], Any], item: Any, _telemetry: Any) -> Any:
-    return fn(item)
-
-
 def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any], jobs: int) -> list:
     """Order-preserving map over the pool (in-process for jobs<=1).
 
@@ -250,8 +184,7 @@ def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any], jobs: int) -> l
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     results: list[Any] = [None] * len(items)
-    for index, result in _pool().run(
-            functools.partial(_map_item, fn), items, jobs):
+    for index, result in _pool().run(fn, items, jobs):
         results[index] = result
     for result in results:
         if isinstance(result, PointQuarantined):

@@ -225,14 +225,15 @@ def _failure_record(point: SweepPoint, exc: ReproError, attempts: int = 1,
     }
 
 
-def _cached_record(registry: Any, point: SweepPoint, provenance: dict
+def _cached_record(hit: Optional[dict], point: SweepPoint
                    ) -> tuple[Optional[dict], bool]:
-    """Replayable record for ``point`` from the registry, if one exists.
+    """Replayable record for ``point`` from its registry ``hit``, if any.
 
-    The point's identity (workload, config, scheduler, prefetcher, seed,
-    scale, GPUConfig hash) is content-hashed exactly as ingestion hashes
-    it; on a hit the archived sweep record is returned verbatim, so a
-    cache-warm sweep appends byte-identical JSONL lines. Only complete
+    ``hit`` is the newest registry record under the point's run id, which
+    content-hashes the point's identity (workload, config, scheduler,
+    prefetcher, seed, scale, GPUConfig hash) exactly as ingestion hashes
+    it; the archived sweep record is returned verbatim, so a cache-warm
+    sweep appends byte-identical JSONL lines. Only complete
     ``status == "ok"`` records qualify — failures are never memoised.
 
     A hit is **hash-verified before it is trusted**: ingestion stamps
@@ -243,17 +244,11 @@ def _cached_record(registry: Any, point: SweepPoint, provenance: dict
     ``rejected`` is True when a hit existed but failed verification, so
     the caller can count the forced re-simulation.
     """
-    from repro.registry.records import record_sha256, sweep_point_run_id
+    from repro.registry.records import record_sha256
 
-    run_id = sweep_point_run_id(
-        point.workload, point.config_name, point.scale, provenance)
-    try:
-        hits = registry.history(run_id, limit=1)
-    except Exception:
-        return None, False  # an unreadable registry must not fail the sweep
-    if not hits:
+    if hit is None:
         return None, False
-    data = hits[0].get("data") or {}
+    data = hit.get("data") or {}
     record = data.get("sweep_record")
     if not isinstance(record, dict) or record.get("status") != "ok":
         return None, False
@@ -289,7 +284,6 @@ def run_sweep(
     registry: Optional[Any] = None,
     jobs: int = 1,
     use_cache: bool = True,
-    heartbeat_writer: Optional[Any] = None,
     retry_failed: bool = False,
     supervisor: Optional[SupervisorConfig] = None,
 ) -> SweepSummary:
@@ -331,11 +325,10 @@ def run_sweep(
     byte-identical to a serial sweep. A worker that crashes or hangs has
     its point requeued; a point that keeps killing workers becomes a
     quarantined failure record. All persistence (store, registry) stays
-    in the parent. ``heartbeat_writer`` (a
-    :class:`~repro.experiments.parallel.ProgressWriter`) merges per-worker
-    telemetry heartbeats into one stream when telemetry is enabled.
-    ``supervisor`` (a :class:`~repro.resilience.SupervisorConfig`) sets
-    the pool's heartbeat deadline and attempt budget.
+    in the parent, and so does ``progress``: it is called once per flushed
+    point, in point order, whatever ``jobs`` is. ``supervisor`` (a
+    :class:`~repro.resilience.SupervisorConfig`) sets the pool's heartbeat
+    deadline and attempt budget.
     """
     points = list(points)
     base_prov = _base_provenance(gpu_config)
@@ -401,9 +394,25 @@ def run_sweep(
         if progress is not None:
             progress(point, record)
 
-    def cache_lookup(point: SweepPoint, provenance: dict) -> Optional[dict]:
+    # One pass over the registry log answers every pending point's lookup.
+    hits: dict[str, dict] = {}
+    if caching and pending:
+        from repro.registry.records import sweep_point_run_id
+
+        run_ids = {
+            point.key: sweep_point_run_id(point.workload, point.config_name,
+                                          point.scale, provenance)
+            for point, provenance in zip(pending, provenances)}
+        try:
+            newest = registry.newest(run_ids.values())
+        except Exception:
+            newest = {}  # an unreadable registry must not fail the sweep
+        hits = {key: newest[run_id] for key, run_id in run_ids.items()
+                if run_id in newest}
+
+    def cache_lookup(point: SweepPoint) -> Optional[dict]:
         """Verified registry memo lookup, counting rejected hits."""
-        cached, rejected = _cached_record(registry, point, provenance)
+        cached, rejected = _cached_record(hits.get(point.key), point)
         if rejected:
             summary.cache_rejected += 1
         return cached
@@ -415,13 +424,13 @@ def run_sweep(
             telemetry=telemetry or trace_dir is not None,
             trace_dir=trace_dir, telemetry_window=telemetry_window,
             cache_lookup=cache_lookup if caching else None, jobs=jobs,
-            heartbeat_writer=heartbeat_writer, supervisor=supervisor,
+            supervisor=supervisor,
         )
         return summary
 
     for point, provenance in zip(pending, provenances):
         if caching:
-            cached = cache_lookup(point, provenance)
+            cached = cache_lookup(point)
             if cached is not None:
                 flush(point, cached, cached=True)
                 continue
@@ -446,9 +455,8 @@ def _run_pending_parallel(
     telemetry: bool,
     trace_dir: Optional[str],
     telemetry_window: int,
-    cache_lookup: Optional[Callable[[SweepPoint, dict], Optional[dict]]],
+    cache_lookup: Optional[Callable[[SweepPoint], Optional[dict]]],
     jobs: int,
-    heartbeat_writer: Optional[Any],
     supervisor: Optional[SupervisorConfig],
 ) -> None:
     """Fan pending points across a pool, flushing strictly in point order.
@@ -459,20 +467,13 @@ def _run_pending_parallel(
     byte-identical to a serial sweep even though execution completes out
     of order.
     """
-    from repro.experiments.parallel import (
-        PointTask,
-        ProgressWriter,
-        run_point_tasks,
-    )
+    from repro.experiments.parallel import PointTask, run_point_tasks
     from repro.resilience.supervisor import PointQuarantined
 
     results: dict[int, tuple[dict, bool]] = {}
     tasks: list[PointTask] = []
     for index, (point, provenance) in enumerate(zip(pending, provenances)):
-        cached = (
-            cache_lookup(point, provenance)
-            if cache_lookup is not None else None
-        )
+        cached = cache_lookup(point) if cache_lookup is not None else None
         if cached is not None:
             results[index] = (cached, True)
             continue
@@ -491,11 +492,7 @@ def _run_pending_parallel(
             flush(pending[next_index], record, cached)
             next_index += 1
 
-    for index, payload in run_point_tasks(
-        tasks, jobs, supervisor=supervisor,
-        heartbeat_writer=(heartbeat_writer or ProgressWriter())
-        if telemetry else None,
-    ):
+    for index, payload in run_point_tasks(tasks, jobs, supervisor=supervisor):
         if isinstance(payload, PointQuarantined):
             record = _failure_record(
                 pending[index], payload,
@@ -516,22 +513,16 @@ def _run_point(
     telemetry: bool = False,
     trace_dir: Optional[str] = None,
     telemetry_window: int = 5_000,
-    heartbeat_sink: Optional[Any] = None,
 ) -> dict:
     """Simulate one point once; never raises :class:`ReproError` —
-    a failure becomes its record.
-
-    ``heartbeat_sink`` (an interval sink) is attached to the telemetry hub
-    when one is built; pool workers use it to stream heartbeats back to
-    the parent process.
+    a failure becomes its record. Serial sweeps and pool workers both
+    run exactly this.
     """
     hub = None
     if telemetry:
         from repro.telemetry import TelemetryHub
 
         hub = TelemetryHub(window=telemetry_window, trace=trace_dir is not None)
-        if heartbeat_sink is not None:
-            hub.add_interval_sink(heartbeat_sink)
     try:
         result = run(
             point.workload,

@@ -7,16 +7,17 @@ objects by construction (see :mod:`repro.mem.subsystem` and
 :mod:`repro.sm.pipeline`), and pickling preserves shared references, so a
 restored simulator continues bit-identically to an uninterrupted run.
 
-Files are written atomically (temp file + ``os.replace``) so a crash
-mid-write can never leave a truncated checkpoint behind.
+Files are written through :func:`repro.resilience.atomic.atomic_write_bytes`
+(temp file + fsync + ``os.replace``) so a crash mid-write can never leave
+a truncated checkpoint behind.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 
 from repro.errors import CheckpointError
+from repro.resilience.atomic import atomic_write_bytes
 
 #: Bump when the on-disk layout changes incompatibly (2: ``SMCore`` gained
 #: ``sleep_until`` and its prebuilt issue candidates; 3: ``SMCore`` gained
@@ -74,15 +75,8 @@ def load_simulator(blob: bytes):
 def save_checkpoint(simulator, path: str) -> None:
     """Atomically write a simulator checkpoint to ``path``."""
     blob = dump_simulator(simulator)
-    tmp = f"{path}.tmp"
     try:
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        atomic_write_bytes(path, blob)
     except OSError as exc:
         raise CheckpointError(
             f"cannot write checkpoint {path!r}: {exc}",

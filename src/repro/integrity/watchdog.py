@@ -16,6 +16,7 @@ import os
 from typing import Optional
 
 from repro.errors import WatchdogTimeout
+from repro.resilience.atomic import atomic_write
 
 
 class Watchdog:
@@ -77,14 +78,10 @@ class Watchdog:
     def _write_dump(self, simulator, now: int, details: dict) -> Optional[str]:
         if self.dump_dir is None:
             return None
-        os.makedirs(self.dump_dir, exist_ok=True)
         name = f"watchdog-{simulator.kernel_name}-cycle{now}.json"
         path = os.path.join(self.dump_dir, name)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(details, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(details, indent=2, sort_keys=True,
+                                      default=str) + "\n")
         return path
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.experiments import paper_data
+from repro.experiments.figures import geomean
 
 #: Scorecard schema version (bump on incompatible payload changes).
 SCORECARD_SCHEMA = 1
@@ -44,14 +45,6 @@ _AGGREGATE_KEYS = ("GMEAN", "GMEAN-MEM", "MEAN")
 # ----------------------------------------------------------------------
 # Fidelity metrics (dependency-free, hand-checkable)
 # ----------------------------------------------------------------------
-
-
-def geomean(values: Sequence[float]) -> float:
-    """Geometric mean of the positive values; 0 for empty input."""
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
 def mape(golden: Sequence[float], measured: Sequence[float]) -> Optional[float]:

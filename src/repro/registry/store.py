@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 from collections import deque
-from typing import Iterator, Optional, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
 from repro.errors import ReproError
 from repro.registry.records import RunRecord
@@ -32,6 +33,9 @@ DEFAULT_REGISTRY_DIR = os.path.join("bench_results", "registry")
 
 #: Environment override for the store root (tests, CI sandboxes).
 REGISTRY_DIR_ENV = "REPRO_REGISTRY_DIR"
+
+#: A ``"run_id"`` field in a log line's JSON text.
+_RUN_ID_FIELD = re.compile(r'"run_id":\s*"([^"]*)"')
 
 
 class RegistryError(ReproError):
@@ -93,6 +97,16 @@ class RegistryStore:
                 newest.append(payload)
         return list(reversed(newest))
 
+    def newest(self, run_ids: Iterable[str]) -> dict[str, dict]:
+        """Newest occurrence of each of ``run_ids`` the log holds, keyed
+        by run id, from one pass over the log."""
+        wanted = frozenset(run_ids)
+        found: dict[str, dict] = {}
+        for payload in self._iter_jsonl(run_ids=wanted):
+            if payload["run_id"] in wanted:
+                found[payload["run_id"]] = payload
+        return found
+
     def resolve(self, ref: str, nth: int = 0) -> dict:
         """Record whose run_id starts with ``ref`` (``nth`` newest-first).
 
@@ -134,10 +148,13 @@ class RegistryStore:
     # Internals
     # ------------------------------------------------------------------
 
-    def _iter_jsonl(self, needle: str = "") -> Iterator[dict]:
+    def _iter_jsonl(self, needle: str = "",
+                    run_ids: Optional[AbstractSet[str]] = None,
+                    ) -> Iterator[dict]:
         """Records of the log, oldest first, skipping torn lines.
 
-        Only lines whose text contains ``needle`` are parsed, so a
+        Only lines whose text contains ``needle`` — and, given ``run_ids``,
+        has a ``"run_id"`` field naming one of them — are parsed, so a
         run-id lookup does not decode the whole log.
         """
         if not self.jsonl_path.exists():
@@ -145,6 +162,9 @@ class RegistryStore:
         with open(self.jsonl_path, "r", encoding="utf-8") as fh:
             for line in fh:
                 if needle not in line:
+                    continue
+                if run_ids is not None and run_ids.isdisjoint(
+                        _RUN_ID_FIELD.findall(line)):
                     continue
                 try:
                     payload = json.loads(line)

@@ -2,10 +2,12 @@
 
 Two primitives cover every persistence path in the experiment layer:
 
-* :func:`atomic_write` — full-file replace via write-temp → flush →
-  fsync → ``os.replace`` (→ best-effort directory fsync). A reader can
-  observe the old file or the new file, never a mixture, and a crash at
-  any instruction leaves the old file intact.
+* :func:`atomic_write_bytes` (and :func:`atomic_write`, its text form) —
+  full-file replace via write-temp → flush → fsync → ``os.replace`` (→
+  best-effort directory fsync). A reader can observe the old file or the
+  new file, never a mixture, and a crash at any instruction leaves the
+  old file intact. Every whole-file writer uses it: the registry log
+  rewrite, scorecards, checkpoints and watchdog dumps.
 * :func:`append_line` — one JSONL line as a *single* ``os.write`` on an
   ``O_APPEND`` descriptor, fsynced. A single syscall cannot interleave
   with another writer, and the append path is *self-healing*: the file
@@ -52,24 +54,12 @@ def _fsync_dir(path: pathlib.Path) -> None:
 
 def atomic_write(path: PathLike, text: str, encoding: str = "utf-8") -> None:
     """Replace ``path`` with ``text`` atomically (temp + fsync + rename)."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + f".tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding=encoding) as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-    _fsync_dir(target.parent)
+    atomic_write_bytes(path, text.encode(encoding))
 
 
 def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
-    """Byte-level :func:`atomic_write` (checkpoints, binary artifacts)."""
+    """Replace ``path`` with ``payload`` atomically; on any failure the
+    temp file is removed and ``path`` is left as it was."""
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + f".tmp.{os.getpid()}")

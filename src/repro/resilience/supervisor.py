@@ -19,9 +19,11 @@ forever. This pool is built against both:
   never notice. This is always on.
 * every worker runs a daemon **heartbeat thread** posting ticks to the
   parent; a SIGSTOP freezes all threads, so heartbeats ceasing is exactly
-  the hang signal. With a ``deadline_s``, the parent timestamps receipt
-  on its own clock (child clocks are never trusted) and escalates any
-  assigned worker silent past it: SIGKILL, then the same requeue.
+  the hang signal. Ticks and results are the only messages a worker
+  sends: ``fn(item)`` runs exactly as it would in the parent. With a
+  ``deadline_s``, the parent timestamps receipt on its own clock (child
+  clocks are never trusted) and escalates any assigned worker silent
+  past it: SIGKILL, then the same requeue.
 * an item that keeps killing its workers is **quarantined** after
   ``max_attempts`` dispatches: the pool yields :class:`PointQuarantined`
   for it (the sweep driver turns that into a structured failure record
@@ -50,7 +52,6 @@ import queue as queue_mod
 import random
 import threading
 import time
-import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -110,7 +111,7 @@ class _Assignment:
 
 def _worker_main(
     worker_id: int,
-    fn: Callable[[Any, Any], Any],
+    fn: Callable[[Any], Any],
     task_queue: Any,
     result_queue: Any,
     plan: Optional[faults.FaultPlan],
@@ -118,8 +119,6 @@ def _worker_main(
 ) -> None:
     """Pool worker: heartbeat thread + task loop calling ``fn``."""
     faults.arm(plan)
-    telemetry = types.SimpleNamespace(
-        put=lambda payload: result_queue.put(("tm", worker_id, payload)))
     stop = threading.Event()
 
     def _beat() -> None:
@@ -138,7 +137,7 @@ def _worker_main(
         if plan is not None:
             plan.worker_point_fault(index, attempt)
         try:
-            result_queue.put(("done", worker_id, index, fn(item, telemetry)))
+            result_queue.put(("done", worker_id, index, fn(item)))
         except BaseException as exc:
             result_queue.put(
                 ("error", worker_id, index, f"{type(exc).__name__}: {exc}"))
@@ -221,18 +220,15 @@ class SupervisedPool:
 
     def run(
         self,
-        fn: Callable[[Any, Any], Any],
+        fn: Callable[[Any], Any],
         items: Sequence[Any],
         jobs: int,
-        on_telemetry: Optional[Callable[[Any], None]] = None,
     ) -> Iterator[tuple[int, Any]]:
-        """Call ``fn(item, telemetry)`` for every item on up to ``jobs``
-        workers, yielding ``(index, result)`` in completion order.
+        """Call ``fn(item)`` for every item on up to ``jobs`` workers,
+        yielding ``(index, result)`` in completion order.
 
         ``fn`` must be a module-level function (workers may be spawned,
-        not forked) and every item picklable. ``telemetry.put(payload)``
-        inside ``fn`` hands ``payload`` to ``on_telemetry`` in the parent.
-        Every index is yielded exactly once: ``fn``'s return value, or
+        not forked) and every item picklable. Every index is yielded exactly once: ``fn``'s return value, or
         :class:`PointQuarantined` — at once if ``fn`` raised, after
         ``max_attempts`` dispatches if its workers kept crashing/hanging.
         An item's index is also its fault-plan key (``worker.point``).
@@ -303,8 +299,7 @@ class SupervisedPool:
                         (index, items[index], attempts[index]))
 
                 if self.degraded and not self._workers:
-                    yield from self._run_serially(
-                        fn, items, completed, on_telemetry)
+                    yield from self._run_serially(fn, items, completed)
                     return
 
                 # Drain everything already queued, then one blocking poll —
@@ -326,10 +321,6 @@ class SupervisedPool:
                     assignment = assigned.get(worker_id)
                     if assignment is not None:
                         assignment.last_seen = time.monotonic()
-                    if kind == "tm":
-                        if on_telemetry is not None:
-                            on_telemetry(message[2])
-                        continue
                     if kind == "hb":
                         continue
                     index = message[2]
@@ -408,10 +399,9 @@ class SupervisedPool:
 
     @staticmethod
     def _run_serially(
-        fn: Callable[[Any, Any], Any],
+        fn: Callable[[Any], Any],
         items: Sequence[Any],
         completed: set[int],
-        on_telemetry: Optional[Callable[[Any], None]],
     ) -> Iterator[tuple[int, Any]]:
         """Degraded mode: finish the remaining items in the parent.
 
@@ -420,9 +410,7 @@ class SupervisedPool:
         that keeps killing workers cannot take the parent down with it.
         An exception ``fn`` raises here propagates, as in a serial run.
         """
-        telemetry = types.SimpleNamespace(
-            put=on_telemetry or (lambda payload: None))
         for index in range(len(items)):
             if index not in completed:
                 completed.add(index)
-                yield index, fn(items[index], telemetry)
+                yield index, fn(items[index])

@@ -1,15 +1,18 @@
-"""repro.telemetry — cycle-attributed tracing, interval metrics, profiling.
+"""repro.telemetry — cycle-attributed tracing and interval metrics.
 
 The observability layer for the simulator: typed events from every
 pipeline and memory component, an exclusive-cause stall-attribution
 engine that reconciles exactly against ``SimStats``, windowed interval
-metrics as JSONL time-series, a Chrome trace-event exporter, and
-host-side profilers. A simulator built without a hub pays one
-``is None`` test per instrumentation point — telemetry off is the
-default and is effectively free.
+metrics as JSONL time-series, and a Chrome trace-event exporter. A
+simulator built without a hub pays one ``is None`` test per
+instrumentation point — telemetry off is the default and is effectively
+free.
 
-Entry points: ``python -m repro trace``, or ``--telemetry`` /
-``--trace-out`` on ``run`` and ``sweep``. See DESIGN.md ("Telemetry").
+Entry points: ``--telemetry`` / ``--trace-out`` / ``--intervals-out`` on
+``repro run``, and ``--telemetry`` / ``--trace-dir`` on ``repro sweep``.
+Host time is measured outside this package: per simulator layer with
+``benchmarks/perf/run.py --trace 1``, per function with
+``python -m cProfile -m repro run …``. See DESIGN.md ("Telemetry").
 """
 
 from repro.telemetry.events import EVENT_TYPES, TelemetryEvent, validate_event_registry
@@ -28,7 +31,6 @@ from repro.telemetry.intervals import (
     IntervalCollector,
     validate_interval_record,
 )
-from repro.telemetry.profiler import PhaseTimer, RunProfiler
 from repro.telemetry.stalls import STALL_CAUSES, StallEngine
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
     "InMemorySink",
     "IntervalCollector",
     "IntervalJSONLWriter",
-    "PhaseTimer",
-    "RunProfiler",
     "SMTelemetry",
     "StallEngine",
     "TelemetryEvent",

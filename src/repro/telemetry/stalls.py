@@ -18,7 +18,7 @@ of the idle cycles and reconcile *exactly* against ``SimStats``::
 
 :meth:`StallEngine.reconcile` enforces those identities; the telemetry
 test suite runs it over multiple workloads and schedulers, and
-``python -m repro trace`` prints the result. Fast-forwarded (event-queue
+``python -m repro run --telemetry`` prints the result. Fast-forwarded (event-queue
 skipped) cycles are charged to the cause each SM exhibited at the tick
 before the jump — nothing can change an SM's state between ticks, so the
 cause provably persists across the skipped span.

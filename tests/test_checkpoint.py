@@ -1,5 +1,6 @@
 """Checkpoint/resume: interrupted runs must continue bit-identically."""
 
+import os
 import pickle
 
 import pytest
@@ -82,8 +83,20 @@ class TestCheckpointFiles:
         sim = build("base", mixed_kernel(6), make_config())
         sim.step_until(50)
         save_checkpoint(sim, str(path))
-        assert not path.with_suffix(".ckpt.tmp").exists()
+        assert list(tmp_path.iterdir()) == [path]
         assert load_checkpoint(str(path)).current_cycle == sim.current_cycle
+
+    def test_failed_save_raises_and_leaves_no_temp_file(
+            self, tmp_path, monkeypatch):
+        sim = build("base", mixed_kernel(6), make_config())
+
+        def refuse(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(CheckpointError, match="cannot write"):
+            save_checkpoint(sim, str(tmp_path / "sim.ckpt"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_raises_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

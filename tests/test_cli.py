@@ -29,6 +29,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "KM", "nope"])
 
+    def test_help_lists_the_fourteen_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
+        assert len(listed) == 14
+        assert "trace" not in listed
+
+    def test_table_takes_no_jobs(self):
+        # Neither table simulates through the run cache a pool could fill.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table", "1", "--jobs", "2"])
+
     def test_figure_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "5"])

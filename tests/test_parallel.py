@@ -9,25 +9,21 @@ is deterministic and all persistence stays in the parent process.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from conftest import make_config
+from repro.cli import main
 from repro.errors import WatchdogTimeout
 from repro.experiments import runner
-from repro.experiments.configs import CONFIGS
 from repro.experiments.parallel import (
-    ProgressWriter,
-    QueueHeartbeatSink,
     figure_points,
     parallel_map,
     prewarm,
@@ -37,11 +33,6 @@ from repro.experiments.parallel import (
 from repro.experiments.sweep import ResultsStore, run_sweep, sweep_points
 from repro.registry.store import RegistryStore
 from repro.resilience.supervisor import PointQuarantined, SupervisorConfig
-from repro.sm.simulator import simulate
-from repro.telemetry import TelemetryHub
-from repro.telemetry.export import InMemorySink
-from repro.workloads.suite import workload
-from repro.workloads.synthetic import build_kernel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -118,73 +109,6 @@ class TestResolveJobs:
             resolve_jobs(None)
 
 
-class TestProgressWriter:
-    def test_concurrent_lines_never_interleave(self):
-        stream = io.StringIO()
-        writer = ProgressWriter(stream)
-        payloads = [f"line-{i}" * 50 for i in range(8)]
-
-        def spam(text):
-            for _ in range(25):
-                writer.line(text)
-
-        threads = [threading.Thread(target=spam, args=(p,)) for p in payloads]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == 8 * 25
-        assert set(lines) == set(payloads)
-
-
-class TestQueueHeartbeatSink:
-    def test_forwards_interval_as_tuple(self):
-        class StubQueue:
-            def __init__(self):
-                self.items = []
-
-            def put(self, item):
-                self.items.append(item)
-
-        queue = StubQueue()
-        sink = QueueHeartbeatSink(queue, "KM|base|0.05")
-        sink.on_interval({"cycle_end": 5000, "ipc": 0.5, "ipc_cum": 0.4})
-        assert queue.items == [("KM|base|0.05", 5000, 0.5, 0.4)]
-
-    def test_queue_failure_is_swallowed(self):
-        class DeadQueue:
-            def put(self, item):
-                raise BrokenPipeError("manager gone")
-
-        sink = QueueHeartbeatSink(DeadQueue(), "k")
-        sink.on_interval({"cycle_end": 1, "ipc": 0.1, "ipc_cum": 0.1})  # no raise
-
-
-class TestWorkerHeartbeats:
-    def test_jobs2_sweep_renders_every_interval(self, tmp_path):
-        # Each pool worker's QueueHeartbeatSink reaches the parent over the
-        # pool's result queue; the parent renders one line per interval
-        # record through the sweep's ProgressWriter.
-        cfg = make_config(num_sms=2)
-        hub = TelemetryHub(window=500)
-        tap = InMemorySink()
-        hub.add_interval_sink(tap)
-        simulate(build_kernel(workload("KM"), SCALE), cfg,
-                 CONFIGS["apres"].build, telemetry=hub)
-        stream = io.StringIO()
-        run_sweep(sweep_points(["KM"], ("apres",), (SCALE,)),
-                  str(tmp_path / "hb.jsonl"), gpu_config=cfg, telemetry=True,
-                  telemetry_window=500, jobs=2,
-                  heartbeat_writer=ProgressWriter(stream))
-        lines = stream.getvalue().splitlines()
-        assert len(lines) == len(tap.intervals) > 0
-        for line, interval in zip(lines, tap.intervals):
-            assert line.startswith("[telemetry] KM|apres|0.05: cycle ")
-            assert f"cycle {interval['cycle_end']:,}" in line
-            assert f"IPC {interval['ipc']:.3f}" in line
-
-
 class TestParallelSweepIdentity:
     def test_jobs2_jsonl_is_byte_identical_to_serial(self, tmp_path):
         cfg = make_config()
@@ -202,10 +126,33 @@ class TestParallelSweepIdentity:
         parallel = tmp_path / "parallel.jsonl"
         run_sweep(points, str(serial), gpu_config=cfg, telemetry=True)
         run_sweep(points, str(parallel), gpu_config=cfg, telemetry=True,
-                  jobs=2, heartbeat_writer=ProgressWriter(io.StringIO()))
+                  jobs=2)
         assert parallel.read_bytes() == serial.read_bytes()
         record = next(iter(ResultsStore(str(serial)).load().values()))
         assert record["stalls"]["top_cause"]
+
+    def test_telemetry_sweep_prints_the_same_lines_at_jobs2(
+            self, tmp_path, capsys):
+        # The parent's [sweep] line per stored point is the only progress
+        # stream: a pool run prints nothing a serial run does not.
+        out = str(tmp_path / "sweep.jsonl")
+        argv = ["sweep", "--out", out, "--apps", "KM", "BFS",
+                "--configs", "base", "--scales", str(SCALE), "--telemetry",
+                "--window", "500", "--no-registry"]
+        printed = []
+        for jobs in ("1", "2"):
+            if os.path.exists(out):
+                os.remove(out)
+            assert main(argv + ["--jobs", jobs]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            printed.append([line for line in lines
+                            if not line.startswith("jobs ")])
+        serial, parallel = printed
+        assert parallel == serial
+        progress = [line.split(":")[0] for line in serial
+                    if line.startswith("[")]
+        assert progress == [f"[sweep] KM|base|{SCALE:g}",
+                            f"[sweep] BFS|base|{SCALE:g}"]
 
     def test_parallel_failure_records_match_serial(self, tmp_path):
         doomed = dataclasses.replace(make_config(), max_cycles=60)
@@ -281,6 +228,26 @@ class TestRegistryMemoization:
         assert summary.simulated == 0
         assert summary.cache_hits == len(tiny_points())
         assert cold.read_bytes() == warm.read_bytes()
+
+    def test_warm_sweep_reads_the_registry_once(self, tmp_path, monkeypatch):
+        cfg = make_config()
+        points = tiny_points(configs=("base", "apres", "ccws", "laws"))
+        assert len(points) == 8
+        registry = RegistryStore(tmp_path / "reg")
+        run_sweep(points, str(tmp_path / "cold.jsonl"), gpu_config=cfg,
+                  registry=registry)
+        passes = []
+        iter_jsonl = RegistryStore._iter_jsonl
+
+        def counted(self, *args, **kwargs):
+            passes.append(args or kwargs)
+            return iter_jsonl(self, *args, **kwargs)
+
+        monkeypatch.setattr(RegistryStore, "_iter_jsonl", counted)
+        summary = run_sweep(points, str(tmp_path / "warm.jsonl"),
+                            gpu_config=cfg, registry=registry)
+        assert summary.cache_hits == 8
+        assert len(passes) == 1
 
     def test_no_cache_forces_resimulation(self, tmp_path):
         cfg = make_config()
