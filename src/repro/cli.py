@@ -774,7 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write one Chrome trace per point into DIR "
                               "(implies --telemetry)")
     p_sweep.add_argument("--window", type=int, default=5_000, metavar="N",
-                         help="interval-metrics window in simulated cycles")
+                         help="interval-metrics window in simulated cycles "
+                              "of the --trace-dir counter tracks")
     p_sweep.add_argument("--worker-deadline", type=float, default=None,
                          metavar="SEC",
                          help="kill and requeue any worker silent for SEC "

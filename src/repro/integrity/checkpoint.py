@@ -25,8 +25,9 @@ from repro.resilience.atomic import atomic_write_bytes
 #: ready bitmap and ``GPUSimulator`` its done-SM prefix; 4: ``SMCore``
 #: replaced the pool by a ready list and a wake heap and gained one
 #: completion callback per warp, and tag arrays gained their
-#: prefetched-line flag).
-CHECKPOINT_FORMAT = 4
+#: prefetched-line flag; 5: ``SMCore`` holds its engines' bound feedback
+#: hooks, and the L1 and L2 hold their tag sets and hoisted geometry).
+CHECKPOINT_FORMAT = 5
 
 _MAGIC = "repro-checkpoint"
 

@@ -26,21 +26,16 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _contiguous_lines(
+def _run_lines(
     start: int, lanes: int, element_bytes: int, line_size: int
-) -> tuple[int, list[int]]:
-    """Coalesce an ascending per-lane run starting at ``start`` directly.
+) -> tuple[int, ...]:
+    """Lines of an ascending per-lane run whose lanes may skip lines.
 
-    With ``element_bytes <= line_size`` the lanes cover every line between
-    the first and last address, so the line list is just an aligned range
-    — no per-lane list needs to be built.
+    Only elements wider than a line can skip one; the strided and
+    indirect generators coalesce the usual case, an aligned range of
+    lines, in place.
     """
-    if element_bytes <= line_size:
-        first = start - start % line_size
-        last_addr = start + (lanes - 1) * element_bytes
-        last = last_addr - last_addr % line_size
-        return start, list(range(first, last + line_size, line_size))
-    return start, list(
+    return tuple(
         dict.fromkeys(
             (start + lane * element_bytes) // line_size * line_size
             for lane in range(lanes)
@@ -59,17 +54,18 @@ class AddressGenerator(abc.ABC):
         """Address requested by the lowest thread ID (what SAP's DRQ stores)."""
         return self.addresses(warp, iteration)[0]
 
-    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, list[int]]:
+    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, tuple[int, ...]]:
         """``(primary address, unique line addresses)`` for this instance.
 
         Equivalent to coalescing :meth:`addresses`, but overridable so
         generators with known structure can skip materialising the
         per-lane list on the issue hot path. The line order must match
         :func:`repro.mem.coalescer.coalesce` on the per-lane stream
-        (lowest lane's segment first).
+        (lowest lane's segment first). The lines come as a tuple, which
+        the pipeline keeps as is.
         """
         addrs = self.addresses(warp, iteration)
-        return addrs[0], list(
+        return addrs[0], tuple(
             dict.fromkeys(a - a % line_size for a in addrs)
         )
 
@@ -95,9 +91,9 @@ class BroadcastAddress(AddressGenerator):
     def primary_address(self, warp: int, iteration: int) -> int:
         return self.base + (iteration * self.element_bytes) % self.region_bytes
 
-    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, list[int]]:
+    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, tuple[int, ...]]:
         addr = self.base + (iteration * self.element_bytes) % self.region_bytes
-        return addr, [addr - addr % line_size]
+        return addr, (addr - addr % line_size,)
 
 
 @dataclass(frozen=True)
@@ -130,11 +126,22 @@ class StridedAddress(AddressGenerator):
     def primary_address(self, warp: int, iteration: int) -> int:
         return self._start(warp, iteration)
 
-    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, list[int]]:
-        return _contiguous_lines(
-            self._start(warp, iteration), self.lanes, self.element_bytes,
-            line_size,
-        )
+    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, tuple[int, ...]]:
+        # _start and the line range in one frame: this runs on every issue.
+        iter_off = iteration * self.iter_stride
+        if self.wrap_bytes:
+            iter_off %= self.wrap_bytes
+        start = self.base + (warp * self.warp_stride + iter_off) % self.footprint_bytes
+        element = self.element_bytes
+        if element > line_size:
+            return start, _run_lines(start, self.lanes, element, line_size)
+        # The lanes cover every line from the first address's to the last's.
+        first = start - start % line_size
+        last = start + (self.lanes - 1) * element
+        last -= last % line_size
+        if last == first:
+            return start, (first,)
+        return start, tuple(range(first, last + line_size, line_size))
 
     def _start(self, warp: int, iteration: int) -> int:
         iter_off = iteration * self.iter_stride
@@ -189,7 +196,7 @@ class IrregularAddress(AddressGenerator):
     def primary_address(self, warp: int, iteration: int) -> int:
         return self._bucket_address(warp, iteration, 0)
 
-    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, list[int]]:
+    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, tuple[int, ...]]:
         primary: int = 0
         lines: dict[int, None] = {}
         lanes = self.lanes
@@ -204,7 +211,7 @@ class IrregularAddress(AddressGenerator):
             if bucket == 0:
                 primary = addr
             lines[addr - addr % line_size] = None
-        return primary, list(lines)
+        return primary, tuple(lines)
 
     def _bucket_address(self, warp: int, iteration: int, bucket: int) -> int:
         hot_cut = int(self.hot_fraction * 256)
@@ -245,11 +252,21 @@ class IndirectAddress(AddressGenerator):
     def primary_address(self, warp: int, iteration: int) -> int:
         return self._start(warp, iteration)
 
-    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, list[int]]:
-        return _contiguous_lines(
-            self._start(warp, iteration), self.lanes, self.element_bytes,
-            line_size,
-        )
+    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, tuple[int, ...]]:
+        # _start and the line range in one frame, as in StridedAddress.
+        jitter = _mix64((self.seed << 40) ^ (warp << 20) ^ iteration) % self.window_bytes
+        raw = warp * self.warp_stride + iteration * self.iter_stride
+        raw += jitter - self.window_bytes // 2
+        start = self.base + raw % self.footprint_bytes
+        element = self.element_bytes
+        if element > line_size:
+            return start, _run_lines(start, self.lanes, element, line_size)
+        first = start - start % line_size
+        last = start + (self.lanes - 1) * element
+        last -= last % line_size
+        if last == first:
+            return start, (first,)
+        return start, tuple(range(first, last + line_size, line_size))
 
     def _start(self, warp: int, iteration: int) -> int:
         offset = warp * self.warp_stride + iteration * self.iter_stride

@@ -50,7 +50,8 @@ _HIT = AccessOutcome.HIT
 class L1Cache:
     """One SM's L1 data cache."""
 
-    __slots__ = ("_config", "stats", "_tags", "_mshrs", "_forward_miss",
+    __slots__ = ("_config", "stats", "_tags", "_sets", "_line_size", "_num_sets",
+                 "_mshrs", "_forward_miss",
                  "_hit_latency", "_seen_lines", "_last_access_hit",
                  "eviction_listener", "stats_latency", "telemetry")
 
@@ -63,6 +64,11 @@ class L1Cache:
         self._config = config
         self.stats = stats
         self._tags = TagArray(config)
+        #: The tag array's own set list, probed in place by ``access``
+        #: (``(line // line_size) % num_sets``), one call fewer per access.
+        self._sets = self._tags._sets
+        self._line_size = config.line_size
+        self._num_sets = config.num_sets
         self._mshrs = MSHRFile(config.num_mshrs, config.mshr_merge_limit)
         self._forward_miss = forward_miss
         # Hoisted: read on every hit in the demand path.
@@ -115,8 +121,10 @@ class L1Cache:
         """
         tel = self.telemetry
         emit = tel is not None and tel.events
-        meta = self._tags.probe(line_addr)
+        s = self._sets[(line_addr // self._line_size) % self._num_sets]
+        meta = s.get(line_addr) if s is not None else None
         if meta is not None:
+            s.move_to_end(line_addr)
             # Hit accounting, inline: see _record_miss for the miss side.
             stats = self.stats
             stats.accesses += 1

@@ -80,7 +80,7 @@ class MSHRFile:
 
     def allocate(self, line_addr: int, now: int, prefetch_only: bool) -> Optional[MSHREntry]:
         """Allocate an entry; ``None`` if the file is full."""
-        if self.full or line_addr in self._entries:
+        if len(self._entries) >= self._capacity or line_addr in self._entries:
             return None
         entry = MSHREntry(line_addr, now, prefetch_only)
         self._entries[line_addr] = entry
@@ -92,7 +92,7 @@ class MSHRFile:
 
     def merge_demand(self, entry: MSHREntry, now: int, callback: Optional[FillCallback]) -> bool:
         """Merge a demand request into an in-flight fill."""
-        if not self.can_merge(entry):
+        if len(entry.demand_issue_cycles) >= self._merge_limit:
             return False
         entry.demand_issue_cycles.append(now)
         if callback is not None:

@@ -24,7 +24,12 @@ from repro.stats.counters import SimStats
 
 
 class EventQueue:
-    """Min-heap of ``(cycle, seq, callback)`` with FIFO tie-breaking."""
+    """Min-heap of ``(cycle, seq, callback)`` with FIFO tie-breaking.
+
+    The per-line paths (:meth:`MemorySubsystem.forward_miss`,
+    ``SMCore._commit_lines``) push onto ``_heap`` with ``next(_seq)``
+    themselves, exactly as :meth:`schedule` does, saving its call.
+    """
 
     __slots__ = ("_heap", "_seq", "processed")
 
@@ -90,11 +95,13 @@ class _L1MissForwarder:
 class MemorySubsystem:
     """L1s (one per SM) + shared L2 + DRAM + the global event queue."""
 
-    __slots__ = ("_config", "_stats", "events", "dram", "l2", "l1s")
+    __slots__ = ("_config", "_stats", "_line_size", "events", "dram", "l2",
+                 "l1s")
 
     def __init__(self, config: GPUConfig, stats: SimStats):
         self._config = config
         self._stats = stats
+        self._line_size = config.l1.line_size
         self.events = EventQueue()
         self.dram = DRAMModel(config.dram, config.l1.line_size, stats.memory)
         self.l2 = L2Cache(config.l2, self.dram, stats.memory)
@@ -107,8 +114,10 @@ class MemorySubsystem:
     def forward_miss(self, sm_id: int, line_addr: int, now: int) -> int:
         """Send an L1 miss to L2 and schedule the fill-back event."""
         fill_cycle = self.l2.access(line_addr, now)
-        self._stats.memory.bytes_l2_to_l1 += self._config.l1.line_size
-        self.events.schedule(fill_cycle, _L1FillEvent(self.l1s[sm_id], line_addr))
+        self._stats.memory.bytes_l2_to_l1 += self._line_size
+        events = self.events
+        heapq.heappush(events._heap, (fill_cycle, next(events._seq),
+                                      _L1FillEvent(self.l1s[sm_id], line_addr)))
         return fill_cycle
 
     def _record_latency(self, issue_cycle: int, done_cycle: int) -> None:
@@ -120,13 +129,14 @@ class MemorySubsystem:
         self._stats.memory.demand_latency_sum += latency
         self._stats.memory.demand_latency_count += 1
 
-    def store(self, sm_id: int, line_addrs: list[int], now: int) -> None:
+    def store(self, sm_id: int, line_addrs: tuple[int, ...], now: int) -> None:
         """Write-through stores: invalidate the L1 copy, consume L2 bandwidth."""
         l1 = self.l1s[sm_id]
+        write = self.l2.write
         for line in line_addrs:
             l1.store(line, now)
-            self.l2.write(line, now)
-            self._stats.memory.bytes_stored += self._config.l1.line_size
+            write(line, now)
+        self._stats.memory.bytes_stored += self._line_size * len(line_addrs)
 
     # ------------------------------------------------------------------
     # Integrity

@@ -42,8 +42,8 @@ class TagArray:
         self._sets: list[Optional[OrderedDict[int, LineMeta]]] = [
             None
         ] * self._num_sets
-        # Power-of-two geometry (every real config) lets the per-access set
-        # index be a shift+mask instead of a divmod pair. probe, insert and
+        # Power-of-two geometry lets the per-access set index be a
+        # shift+mask instead of a divide and a modulo. probe, insert and
         # invalidate compute it inline, saving a call per access.
         line, sets = self._line, self._num_sets
         self._pow2 = line & (line - 1) == 0 and sets & (sets - 1) == 0
@@ -54,17 +54,12 @@ class TagArray:
         #: LRU line without scanning the set.
         self._held_prefetch = False
 
-    def set_index(self, line_addr: int) -> int:
-        if self._pow2:
-            return (line_addr >> self._line_shift) & self._set_mask
-        return (line_addr // self._line) % self._num_sets
-
     def probe(self, line_addr: int, update_lru: bool = True) -> Optional[LineMeta]:
         """Return the line's metadata if resident, promoting it to MRU."""
         if self._pow2:
             s = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         else:
-            s = self._sets[self.set_index(line_addr)]
+            s = self._sets[(line_addr // self._line) % self._num_sets]
         if s is None:
             return None
         meta = s.get(line_addr)
@@ -86,7 +81,7 @@ class TagArray:
         if self._pow2:
             index = (line_addr >> self._line_shift) & self._set_mask
         else:
-            index = self.set_index(line_addr)
+            index = (line_addr // self._line) % self._num_sets
         s = self._sets[index]
         if s is None:
             s = self._sets[index] = OrderedDict()
@@ -120,7 +115,7 @@ class TagArray:
         if self._pow2:
             s = self._sets[(line_addr >> self._line_shift) & self._set_mask]
         else:
-            s = self._sets[self.set_index(line_addr)]
+            s = self._sets[(line_addr // self._line) % self._num_sets]
         if s is None:
             return None
         return s.pop(line_addr, None)

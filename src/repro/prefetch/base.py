@@ -9,7 +9,6 @@ warp it covers; LAWS uses that feedback to prioritise prefetch targets
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +24,12 @@ class PrefetchCandidate:
     target_warp: Optional[int] = None
 
 
-class Prefetcher(abc.ABC):
-    """Base class; ``events`` feeds the energy model."""
+class Prefetcher:
+    """Base class; ``events`` feeds the energy model.
+
+    The hooks default to no-ops, and the pipeline calls
+    :meth:`observe_load` only on a subclass that overrides it.
+    """
 
     name = "base"
 
@@ -38,9 +41,9 @@ class Prefetcher(abc.ABC):
     def reset(self, num_warps: int) -> None:
         """(Re)initialise per-SM state."""
 
-    @abc.abstractmethod
     def observe_load(self, access: LoadAccess) -> list[PrefetchCandidate]:
         """React to an executed load; return prefetches to issue."""
+        return []
 
     def observe_line(self, line_addr: int, hit: bool, cycle: int) -> list[PrefetchCandidate]:
         """React to one coalesced line access (macro-block schemes)."""

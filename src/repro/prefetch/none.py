@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from repro.mem.request import LoadAccess
-from repro.prefetch.base import Prefetcher, PrefetchCandidate
+from repro.prefetch.base import Prefetcher
 
 
 class NullPrefetcher(Prefetcher):
-    """Issues nothing."""
+    """Issues nothing: it keeps every base-class no-op hook."""
 
     name = "none"
-
-    def observe_load(self, access: LoadAccess) -> list[PrefetchCandidate]:
-        return []

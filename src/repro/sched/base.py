@@ -29,7 +29,9 @@ class WarpScheduler(abc.ABC):
     """Base class for issue schedulers.
 
     Subclasses override :meth:`select`; the notification hooks default to
-    no-ops. ``events`` counts bookkeeping operations for the energy model.
+    no-ops. The pipeline binds a hook when it builds the SM, and only if
+    the subclass overrides it, so a hook left as the no-op costs nothing.
+    ``events`` counts bookkeeping operations for the energy model.
     """
 
     name = "base"

@@ -6,7 +6,8 @@ the L1 runs out of MSHRs mid-load the remaining requests enter a replay
 queue that blocks further memory issue (a structural hazard) until they
 commit. The LSU reports each load's primary outcome back to the scheduler
 (the signal LAWS acts on) and to the prefetcher, whose candidates are
-issued into the L1 as prefetch fills.
+issued into the L1 as prefetch fills. Feedback goes only to an engine
+whose class overrides the hook; the base classes' no-ops are never called.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ _ALU = Op.ALU
 _STORE = Op.STORE
 _HIT = AccessOutcome.HIT
 _STALL = AccessOutcome.STALL
+
+
+def _hook(engine: object, base: type, name: str) -> Optional[Callable]:
+    """``engine``'s bound ``name`` hook, or ``None`` when its class keeps
+    ``base``'s no-op: the pipeline then skips the call altogether."""
+    if getattr(type(engine), name) is getattr(base, name):
+        return None
+    return getattr(engine, name)
 
 
 class _WarpMemDone:
@@ -119,6 +128,11 @@ class SMCore:
         "_telemetry",
         "_candidates",
         "_on_mem_done",
+        "_notify_issue",
+        "_notify_load_result",
+        "_notify_mem_complete",
+        "_observe_load",
+        "_load_feedback",
         "sleep_until",
     )
 
@@ -197,7 +211,18 @@ class SMCore:
         scheduler.reset(len(self.warps))
         scheduler.attach_l1(l1)
         prefetcher.reset(len(self.warps))
-        l1.eviction_listener = scheduler.notify_eviction
+        # Feedback goes only to the engines that read it: a hook the
+        # engine's class does not override is never called.
+        l1.eviction_listener = _hook(scheduler, WarpScheduler, "notify_eviction")
+        self._notify_issue = _hook(scheduler, WarpScheduler, "notify_issue")
+        self._notify_mem_complete = _hook(scheduler, WarpScheduler, "notify_mem_complete")
+        self._notify_load_result = _hook(scheduler, WarpScheduler, "notify_load_result")
+        self._observe_load = _hook(prefetcher, Prefetcher, "observe_load")
+        #: Whether a committed primary request calls ``_emit_load_feedback``:
+        #: an engine reads the feedback, or (see ``attach_telemetry``) a
+        #: traced run records a ``LoadOutcomeEvent`` per load.
+        self._load_feedback = (self._notify_load_result is not None
+                               or self._observe_load is not None)
 
     def attach_telemetry(self, proxy) -> None:
         """Share one per-SM telemetry proxy with the engines and the L1."""
@@ -205,6 +230,8 @@ class SMCore:
         self._scheduler.telemetry = proxy
         self._prefetcher.telemetry = proxy
         self._l1.telemetry = proxy
+        if proxy.events:
+            self._load_feedback = True
 
     # ------------------------------------------------------------------
     # Public state
@@ -329,7 +356,9 @@ class SMCore:
                         dur=dur,
                     )
                 )
-        self._scheduler.notify_issue(warp.warp_id, op is not _ALU, now)
+        notify_issue = self._notify_issue
+        if notify_issue is not None:
+            notify_issue(warp.warp_id, op is not _ALU, now)
         if op is _ALU:
             # ALU chains are dependent: the next same-warp issue waits.
             stats.alu_instructions += 1
@@ -382,11 +411,10 @@ class SMCore:
                     num_lines=count,
                 )
             )
-        line_addrs = tuple(lines)
         line_hits: list[bool] = []
-        if not self._commit_lines(warp, instr.pc, primary, line_addrs, line_hits, now):
+        if not self._commit_lines(warp, instr.pc, primary, lines, line_hits, now):
             self._replay.append(
-                _PendingLoad(warp, instr.pc, primary, line_addrs, line_hits)
+                _PendingLoad(warp, instr.pc, primary, lines, line_hits)
             )
 
     def _process_replay(self, now: int) -> None:
@@ -428,8 +456,9 @@ class SMCore:
             line_hits.append(hit)
             if hit:
                 subsystem.record_hit_latency(ready - now)
-                subsystem.events.schedule(ready, on_done)
-            if primary:
+                events = subsystem.events
+                heappush(events._heap, (ready, next(events._seq), on_done))
+            if primary and self._load_feedback:
                 # Primary request committed: emit the LSU feedback.
                 self._emit_load_feedback(warp_id, pc, primary_addr, line_addrs, hit, now)
         if self.load_observers:
@@ -455,15 +484,6 @@ class SMCore:
         primary_hit: bool,
         now: int,
     ) -> None:
-        access = LoadAccess(
-            sm_id=self.sm_id,
-            warp_id=warp_id,
-            pc=pc,
-            primary_addr=primary_addr,
-            line_addrs=line_addrs,
-            primary_hit=primary_hit,
-            cycle=now,
-        )
         tel = self._telemetry
         emit_events = tel is not None and tel.events
         if emit_events:
@@ -476,8 +496,24 @@ class SMCore:
                     hit=primary_hit,
                 )
             )
-        self._scheduler.notify_load_result(access)
-        candidates = self._prefetcher.observe_load(access)
+        notify = self._notify_load_result
+        observe = self._observe_load
+        if notify is None and observe is None:
+            return
+        access = LoadAccess(
+            sm_id=self.sm_id,
+            warp_id=warp_id,
+            pc=pc,
+            primary_addr=primary_addr,
+            line_addrs=line_addrs,
+            primary_hit=primary_hit,
+            cycle=now,
+        )
+        if notify is not None:
+            notify(access)
+        if observe is None:
+            return
+        candidates = observe(access)
         if not candidates:
             return
         line_size = self._line_size
@@ -539,7 +575,9 @@ class SMCore:
                 tel.emit(
                     MemCompleteEvent(cycle=when, sm=self.sm_id, warp=warp.warp_id)
                 )
-            self._scheduler.notify_mem_complete(warp.warp_id, when)
+            notify = self._notify_mem_complete
+            if notify is not None:
+                notify(warp.warp_id, when)
 
     # ------------------------------------------------------------------
     # Integrity

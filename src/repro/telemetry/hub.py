@@ -4,8 +4,11 @@ Construct a :class:`TelemetryHub`, pass it to
 :class:`repro.sm.simulator.GPUSimulator` (or ``simulate(...,
 telemetry=hub)``), and the simulator binds it at build time: each SM gets
 an :class:`SMTelemetry` proxy (shared with its scheduler, prefetcher and
-L1), the shared L2 and DRAM get the hub itself, and the stall engine and
-interval collector are created against the run's stats.
+L1), the shared L2 and DRAM get the hub itself, and the stall engine is
+created against the run's stats. The interval collector is created once
+the hub has an interval sink (at bind, or by a later
+:meth:`TelemetryHub.add_interval_sink`): windows nobody reads are never
+computed.
 
 The overhead contract: a simulator built *without* a hub carries
 ``telemetry is None`` attributes, so instrumented code paths pay exactly
@@ -74,6 +77,8 @@ class TelemetryHub:
         self.num_sms = 0
         self.stalls: Optional[StallEngine] = None
         self.intervals: Optional[IntervalCollector] = None
+        #: ``(stats, l1s)`` of the bound simulator, for the collector.
+        self._interval_inputs: Optional[tuple] = None
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -87,6 +92,18 @@ class TelemetryHub:
     def add_interval_sink(self, sink: TelemetrySink) -> None:
         self._interval_sinks.append(sink)
         if self.intervals is not None:
+            self.intervals.add_sink(sink)
+        elif self._interval_inputs is not None:
+            self._start_intervals()
+
+    def _start_intervals(self) -> None:
+        """Build the interval collector and hand it every interval sink."""
+        stats, l1s = self._interval_inputs
+        self.intervals = IntervalCollector(
+            stats, l1s, window=self.window, num_sms=self.num_sms,
+            stalls=self.stalls,
+        )
+        for sink in self._interval_sinks:
             self.intervals.add_sink(sink)
 
     # ------------------------------------------------------------------
@@ -103,15 +120,9 @@ class TelemetryHub:
         subsystem = simulator.subsystem
         self.num_sms = len(simulator.sms)
         self.stalls = StallEngine(self.num_sms, subsystem.dram)
-        self.intervals = IntervalCollector(
-            simulator.stats,
-            subsystem.l1s,
-            window=self.window,
-            num_sms=self.num_sms,
-            stalls=self.stalls,
-        )
-        for sink in self._interval_sinks:
-            self.intervals.add_sink(sink)
+        self._interval_inputs = (simulator.stats, subsystem.l1s)
+        if self._interval_sinks:
+            self._start_intervals()
         if self.trace is not None and simulator.sms:
             self.trace.set_topology(self.num_sms, len(simulator.sms[0].warps))
         for sm in simulator.sms:
@@ -129,8 +140,8 @@ class TelemetryHub:
             sink.on_event(event)
 
     def on_tick(self, now: int) -> None:
-        assert self.intervals is not None
-        self.intervals.on_tick(now)
+        if self.intervals is not None:
+            self.intervals.on_tick(now)
 
     def on_skip(self, skipped: int) -> None:
         assert self.stalls is not None

@@ -32,7 +32,7 @@ class SubstepAddress(AddressGenerator):
     def primary_address(self, warp: int, iteration: int) -> int:
         return self.inner.primary_address(warp, iteration * self.total + self.step)
 
-    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, list[int]]:
+    def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, tuple[int, ...]]:
         return self.inner.coalesced(
             warp, iteration * self.total + self.step, line_size
         )

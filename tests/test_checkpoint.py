@@ -133,6 +133,15 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="format 3 unsupported"):
             GPUSimulator.restore(pickle.dumps(payload))
 
+    def test_format_4_rejected(self):
+        # A format-4 pickle has no bound feedback hooks on its SMs and no
+        # hoisted tag sets on its caches.
+        sim = build("apres", mixed_kernel(6), make_config())
+        payload = pickle.loads(sim.snapshot())
+        payload["format"] = 4
+        with pytest.raises(CheckpointError, match="format 4 unsupported"):
+            GPUSimulator.restore(pickle.dumps(payload))
+
     def test_unpicklable_observer_raises_checkpoint_error(self):
         cfg = make_config()
         unpicklable = lambda access, hits: None  # noqa: E731 - the point

@@ -1,8 +1,8 @@
 """Exporter schemas: Chrome trace (golden file), interval JSONL, sinks.
 
-The golden file pins the exact trace-event JSON a small deterministic run
-produces. If an instrumentation change legitimately alters the trace,
-regenerate the fixture and review the diff:
+The golden files pin the exact trace-event JSON a small deterministic run
+produces under ``apres`` and under ``base``. If an instrumentation change
+legitimately alters a trace, regenerate the fixtures and review the diff:
 
     PYTHONPATH=src:tests python tests/test_telemetry_export.py
 """
@@ -18,7 +18,7 @@ import pytest
 
 from conftest import make_config, mixed_kernel, streaming_kernel
 from repro.experiments.configs import CONFIGS
-from repro.sm.simulator import simulate
+from repro.sm.simulator import GPUSimulator, simulate
 from repro.telemetry import (
     INTERVAL_METRICS,
     HeartbeatSink,
@@ -29,18 +29,25 @@ from repro.telemetry import (
     validate_event_registry,
     validate_interval_record,
 )
+from repro.telemetry.intervals import IntervalCollector
 
-GOLDEN = Path(__file__).resolve().parent / "fixtures" / "telemetry" / (
-    "chrome_trace.golden.json"
-)
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "telemetry"
+#: One golden trace per configuration: ``apres`` exercises every feedback
+#: hook, ``base`` none (its engines keep the no-op hooks, which the
+#: pipeline skips, yet every load outcome must still be traced).
+GOLDENS = {
+    "apres": FIXTURES / "chrome_trace.golden.json",
+    "base": FIXTURES / "chrome_trace_base.golden.json",
+}
+GOLDEN = GOLDENS["apres"]
 
 
-def golden_run() -> tuple[TelemetryHub, object]:
-    """The fixed tiny run the golden trace pins (fully deterministic)."""
+def golden_run(config: str = "apres") -> tuple[TelemetryHub, object]:
+    """The fixed tiny run a golden trace pins (fully deterministic)."""
     hub = TelemetryHub(window=200, trace=True)
     cfg = make_config(num_sms=1, max_warps=2)
     result = simulate(
-        streaming_kernel(iterations=2), cfg, CONFIGS["apres"].build,
+        streaming_kernel(iterations=2), cfg, CONFIGS[config].build,
         telemetry=hub,
     )
     return hub, result
@@ -63,6 +70,12 @@ class TestChromeTraceGolden:
 
     def test_golden_passes_schema_validation(self):
         assert validate_chrome_trace(json.loads(GOLDEN.read_text())) == []
+
+    def test_base_trace_matches_golden_exactly(self):
+        hub, _result = golden_run("base")
+        expected = json.loads(GOLDENS["base"].read_text())
+        assert hub.trace.build() == expected
+        assert validate_chrome_trace(expected) == []
 
 
 class TestChromeTraceStructure:
@@ -119,6 +132,34 @@ class TestChromeTraceStructure:
 
 
 class TestIntervalRecords:
+    def test_hub_without_interval_sink_does_no_window_work(self, monkeypatch):
+        flushed: list[int] = []
+        monkeypatch.setattr(IntervalCollector, "_flush",
+                            lambda self, end: flushed.append(end))
+        hub = TelemetryHub(window=50)
+        hub.add_event_sink(InMemorySink())
+        simulate(mixed_kernel(iterations=8), make_config(num_sms=2),
+                 CONFIGS["apres"].build, telemetry=hub)
+        assert hub.intervals is None
+        assert flushed == []
+
+    def test_interval_sink_added_after_bind_sees_every_window(self):
+        def records(before_bind: bool) -> list[dict]:
+            hub = TelemetryHub(window=400)
+            sink = InMemorySink()
+            if before_bind:
+                hub.add_interval_sink(sink)
+            sim = GPUSimulator(mixed_kernel(iterations=8), make_config(num_sms=2),
+                               CONFIGS["apres"].build, telemetry=hub)
+            if not before_bind:
+                hub.add_interval_sink(sink)
+            sim.run()
+            return sink.intervals
+
+        expected = records(before_bind=True)
+        assert expected
+        assert records(before_bind=False) == expected
+
     def test_windows_tile_the_run_exactly(self):
         hub = TelemetryHub(window=400)
         sink = InMemorySink()
@@ -257,12 +298,13 @@ class TestHeartbeat:
 
 
 def _regenerate_golden() -> None:
-    hub, _result = golden_run()
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps(hub.trace.build(), indent=1, sort_keys=True) + "\n"
-    )
-    print(f"wrote {GOLDEN} ({hub.trace.num_trace_events} trace events)")
+    for config, path in GOLDENS.items():
+        hub, _result = golden_run(config)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps(hub.trace.build(), indent=1, sort_keys=True) + "\n"
+        )
+        print(f"wrote {path} ({hub.trace.num_trace_events} trace events)")
 
 
 if __name__ == "__main__":
