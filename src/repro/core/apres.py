@@ -25,9 +25,9 @@ class APRESPair:
 def build_apres(apres_config: APRESConfig | None = None) -> APRESPair:
     """Construct a coupled LAWS+SAP pair.
 
-    The pair must be used together in one SM: SAP pulls the missed warp
-    group out of LAWS, and the pipeline routes SAP's target-warp feedback
-    back into LAWS via ``notify_prefetch_targets``.
+    The pair must be used together in one SM: SAP takes the missed warp
+    group LAWS leaves in ``missed_group``, and the pipeline routes SAP's
+    target-warp feedback back into LAWS via ``notify_prefetch_targets``.
     """
     cfg = apres_config or APRESConfig()
     laws = LAWSScheduler(cfg)

@@ -10,9 +10,17 @@ same PC soon, and static loads behave consistently across warps
 * **hit** — the load has locality; the whole group is moved to the queue
   head so its members access the (still-resident) lines back to back;
 * **miss** — the load is streaming; the group is moved to the tail, and
-  the group is handed to SAP, which may prefetch the other members' lines.
+  handed to SAP (``missed_group``), which may prefetch the other members'
+  lines.
   Warps that received a prefetch are then promoted to the head so their
   demands merge into the prefetch MSHRs or hit the prefetched lines.
+
+The queue is one integer priority key per warp (lower issues first), kept
+between running bounds ``lo`` and ``hi``. A head move gives the group's
+members fresh keys below ``lo``, a tail move fresh keys above ``hi``, each
+in the members' current order, so no queue is rebuilt. Moving a group to
+the head orders the queue exactly as moving its complement to the tail,
+so a move re-keys whichever side is smaller.
 """
 
 from __future__ import annotations
@@ -35,23 +43,29 @@ class LAWSScheduler(WarpScheduler):
     def __init__(self, apres_config: APRESConfig | None = None):
         super().__init__()
         self._apres_config = apres_config or APRESConfig()
-        self._queue: list[int] = []
+        #: Priority key per warp: distinct, within ``[_lo, _hi]``, and the
+        #: queue is the warps in ascending key order.
+        self._key: list[int] = [0]
+        self._lo = 0
+        self._hi = 0
+        self._all: frozenset[int] = frozenset((0,))
         self._llt = LastLoadTable(1)
         self._wgt = WarpGroupTable(self._apres_config.wgt_entries, 1)
-        self._pending_group: Optional[tuple[frozenset[int], LoadAccess]] = None
         self._finished: set[int] = set()
-        #: ``select``'s scratch bitmap of this cycle's candidates; all False
-        #: between calls.
-        self._ready: list[bool] = [False]
+        #: The group of the last load that missed, for SAP to take: set by
+        #: :meth:`notify_load_result`, cleared by SAP when it reads it.
+        self.missed_group: Optional[frozenset[int]] = None
 
     def reset(self, num_warps: int) -> None:
         super().reset(num_warps)
-        self._queue = list(range(num_warps))
+        self._key = list(range(num_warps))
+        self._lo = 0
+        self._hi = num_warps - 1
+        self._all = frozenset(range(num_warps))
         self._llt = LastLoadTable(num_warps)
         self._wgt = WarpGroupTable(self._apres_config.wgt_entries, num_warps)
-        self._pending_group = None
         self._finished = set()
-        self._ready = [False] * num_warps
+        self.missed_group = None
 
     # ------------------------------------------------------------------
     # Queue manipulation
@@ -60,42 +74,26 @@ class LAWSScheduler(WarpScheduler):
     @property
     def queue(self) -> tuple[int, ...]:
         """Current priority order (head first); exposed for tests."""
-        return tuple(self._queue)
+        return tuple(sorted(range(len(self._key)), key=self._key.__getitem__))
 
-    def _split(self, warps: frozenset[int]) -> tuple[list[int], list[int]]:
-        """One pass over the queue: (members of ``warps``, the rest), each
-        in queue order."""
-        picked: list[int] = []
-        rest: list[int] = []
-        add_picked = picked.append
-        add_rest = rest.append
-        for w in self._queue:
-            if w in warps:
-                add_picked(w)
-            else:
-                add_rest(w)
-        return picked, rest
-
-    def _move_to_head(self, warps: frozenset[int]) -> None:
-        # Groups hold this SM's warp ids and the queue holds each id once, so
-        # a group as long as the queue is the whole queue and keeps its order.
-        if len(warps) < len(self._queue):
-            picked, rest = self._split(warps)
-            picked += rest
-            self._queue = picked
-        self.events += 1
-
-    def _move_to_tail(self, warps: frozenset[int], last: Optional[int] = None) -> None:
-        """Demote a group; ``last`` (the warp that just missed — the most
-        stalled member) goes to the very end, which keeps selection
-        rotating fairly when one group spans the whole pool."""
-        if len(warps) < len(self._queue):
-            picked, rest = self._split(warps)
-            rest += picked
-            self._queue = rest
-        if last is not None and last in warps:
-            self._queue.remove(last)
-            self._queue.append(last)
+    def _move(self, warps: frozenset[int], to_head: bool) -> None:
+        """Move a group to the queue head (or tail), keeping the order
+        within the group and within the rest of the queue."""
+        key = self._key
+        n = len(warps)
+        if n + n > len(key):
+            # The complement moving the other way gives the same order.
+            warps = self._all.difference(warps)
+            n = len(warps)
+            to_head = not to_head
+        if to_head:
+            k = self._lo = self._lo - n
+        else:
+            k = self._hi + 1
+            self._hi += n
+        for w in sorted(warps, key=key.__getitem__):
+            key[w] = k
+            k += 1
         self.events += 1
 
     # ------------------------------------------------------------------
@@ -104,17 +102,14 @@ class LAWSScheduler(WarpScheduler):
 
     def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
         if len(candidates) < 2:
-            return candidates[0].warp_id if candidates else None
-        ready = self._ready
-        for c in candidates:
-            ready[c.warp_id] = True
-        chosen = None
-        for wid in self._queue:
-            if ready[wid]:
+            return candidates[0][0] if candidates else None
+        key = self._key
+        chosen = candidates[0][0]
+        best = key[chosen]
+        for wid, _ in candidates:
+            if key[wid] < best:
+                best = key[wid]
                 chosen = wid
-                break
-        for c in candidates:
-            ready[c.warp_id] = False
         return chosen
 
     def notify_load_result(self, access: LoadAccess) -> None:
@@ -131,40 +126,47 @@ class LAWSScheduler(WarpScheduler):
         stored = self._wgt.invalidate(gid)
         if stored is None:
             # Evicted by WGT pressure before the outcome arrived; no action.
+            self.missed_group = None
             return
-        if access.primary_hit:
-            self._move_to_head(stored)
-            self._pending_group = None
+        hit = access.primary_hit
+        self._move(stored, hit)
+        if hit:
+            self.missed_group = None
         else:
-            self._move_to_tail(stored, last=wid)
-            self._pending_group = (stored, access)
+            # The warp that just missed (the most stalled member) goes to
+            # the very end, which keeps selection rotating fairly when one
+            # group spans the whole pool.
+            self._hi += 1
+            self._key[wid] = self._hi
+            self.missed_group = stored
         tel = self.telemetry
         if tel is not None and tel.events:
             tel.emit(SchedGroupEvent(
                 cycle=access.cycle,
                 sm=tel.sm_id,
-                action="head" if access.primary_hit else "tail",
+                action="head" if hit else "tail",
                 warps=tuple(sorted(stored)),
             ))
 
-    def take_pending_group(self, access: LoadAccess) -> Optional[frozenset[int]]:
-        """Hand the missed group to SAP (one-shot, matched to the access)."""
-        if self._pending_group is None:
-            return None
-        group, pending_access = self._pending_group
-        if pending_access is not access:
-            return None
-        self._pending_group = None
-        return group
-
     def notify_prefetch_targets(self, target_warps: Sequence[int]) -> None:
         if target_warps:
-            self._move_to_head(frozenset(target_warps))
+            self._move(frozenset(target_warps), True)
 
     def notify_warp_finished(self, warp_id: int) -> None:
         self._finished.add(warp_id)
 
     def check_invariants(self) -> None:
+        """Raise :class:`InvariantError` on a duplicate or out-of-bounds key,
+        or on an LLT index that disagrees with its entries."""
+        from repro.errors import InvariantError
+
+        key = self._key
+        if len(set(key)) != len(key) or not all(self._lo <= k <= self._hi for k in key):
+            raise InvariantError(
+                "LAWS priority keys are not distinct within their bounds",
+                details={"invariant": "laws keys", "keys": list(key),
+                         "lo": self._lo, "hi": self._hi},
+            )
         self._llt.check_invariants()
 
     # Diagnostics -------------------------------------------------------

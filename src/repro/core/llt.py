@@ -55,10 +55,6 @@ class LastLoadTable:
         """
         return self._by_llpc[self._llpc[warp_id]]
 
-    def warps_with_llpc(self, llpc: Optional[int]) -> list[int]:
-        """All warps whose LLPC matches, ascending (the group-formation search)."""
-        return sorted(self._by_llpc.get(llpc, ()))
-
     def check_invariants(self) -> None:
         """Raise :class:`InvariantError` if the index disagrees with the table."""
         from repro.errors import InvariantError

@@ -27,7 +27,7 @@ from typing import Optional
 from repro.config import APRESConfig
 from repro.core.laws import LAWSScheduler
 from repro.mem.request import LoadAccess
-from repro.prefetch.base import Prefetcher, PrefetchCandidate
+from repro.prefetch.base import Prefetcher
 from repro.telemetry.events import SAPDecisionEvent
 
 
@@ -68,98 +68,83 @@ class SAPPrefetcher(Prefetcher):
         self._pt.clear()
         self._streams.clear()
 
-    def observe_load(self, access: LoadAccess) -> list[PrefetchCandidate]:
+    def observe_load(self, access: LoadAccess) -> list[tuple[int, Optional[int]]]:
+        """Prefetch candidates for a missed load, as ``(addr, target_warp)``."""
         if access.primary_hit:
             return []
         self.events += 1
-        group = self._laws.take_pending_group(access)
+        # LAWS left the missed group for us; take it.
+        laws = self._laws
+        group = laws.missed_group
+        laws.missed_group = None
         out = self._self_prefetch(access)
-        out.extend(self._group_prefetch(access, group))
+        out += self._group_prefetch(access, group)
         return out
 
     def _group_prefetch(
         self, access: LoadAccess, group: Optional[frozenset[int]]
-    ) -> list[PrefetchCandidate]:
+    ) -> list[tuple[int, int]]:
         """The paper's inter-warp prefetch for the missed group (Figure 9)."""
-        entry = self._pt.get(access.pc)
+        wid = access.warp_id
+        pc = access.pc
+        addr = access.primary_addr
+        entry = self._pt.get(pc)
         if entry is None:
-            self._insert(access.pc, PTEntry(access.warp_id, access.primary_addr))
+            self._insert(pc, PTEntry(wid, addr))
             return []
-        self._pt.move_to_end(access.pc)
+        self._pt.move_to_end(pc)
 
-        if access.warp_id == entry.last_warp:
+        warp_delta = wid - entry.last_warp
+        if not warp_delta:
             # Re-execution by the same warp: the warp-ID-normalised stride
             # is undefined (Section III-B divides by the warp-ID delta), so
             # the entry keeps its anchor and no prefetch fires.
             return []
-        stride = self._interwarp_stride(entry, access)
+        # Stride per warp-ID step between the two most recent executions.
+        delta = addr - entry.last_addr
+        stride = None if delta % warp_delta else delta // warp_delta
         confirmed = stride is not None and stride == entry.stride and stride != 0
         if stride is not None:
             entry.stride = stride
-        entry.last_warp = access.warp_id
-        entry.last_addr = access.primary_addr
-        if not confirmed or not group:
-            self._emit_decision(access, stride, confirmed, 0)
-            return []
-
-        # The Demand Request Queue holds only the lowest-thread request of
-        # the missing warp; one prefetch is generated per other group member.
-        targets = [w for w in sorted(group) if w != access.warp_id]
-        targets = targets[: min(self._wq_capacity, self._drq_capacity)]
-        assert entry.stride is not None
-        self._emit_decision(access, stride, confirmed, len(targets))
-        return [
-            PrefetchCandidate(
-                access.primary_addr + (w - access.warp_id) * entry.stride,
-                target_warp=w,
-            )
-            for w in targets
-        ]
-
-    def _emit_decision(
-        self, access: LoadAccess, stride: Optional[int], confirmed: bool, num_targets: int
-    ) -> None:
+        entry.last_warp = wid
+        entry.last_addr = addr
+        targets: list[int] = []
+        if confirmed and group:
+            # The Demand Request Queue holds only the lowest-thread request
+            # of the missing warp; one prefetch per other group member.
+            targets = [w for w in sorted(group) if w != wid]
+            del targets[min(self._wq_capacity, self._drq_capacity):]
         tel = self.telemetry
         if tel is not None and tel.events:
             tel.emit(SAPDecisionEvent(
                 cycle=access.cycle,
                 sm=tel.sm_id,
-                pc=access.pc,
+                pc=pc,
                 stride=stride,
                 confirmed=confirmed,
-                num_targets=num_targets,
+                num_targets=len(targets),
             ))
+        return [(addr + (w - wid) * stride, w) for w in targets]
 
-    def _self_prefetch(self, access: LoadAccess) -> list[PrefetchCandidate]:
+    def _self_prefetch(self, access: LoadAccess) -> list[tuple[int, int]]:
         """Per-warp stream prefetch along the issuing warp's own stride."""
-        key = (access.pc, access.warp_id)
+        wid = access.warp_id
+        addr = access.primary_addr
+        key = (access.pc, wid)
         entry = self._streams.get(key)
         if entry is None:
             if len(self._streams) >= self._stream_capacity:
                 self._streams.popitem(last=False)
-            self._streams[key] = PTEntry(access.warp_id, access.primary_addr)
+            self._streams[key] = PTEntry(wid, addr)
             return []
         self._streams.move_to_end(key)
-        stride = access.primary_addr - entry.last_addr
+        stride = addr - entry.last_addr
         confirmed = stride == entry.stride and stride != 0
         entry.stride = stride
-        entry.last_addr = access.primary_addr
+        entry.last_addr = addr
         if not confirmed:
             return []
-        return [
-            PrefetchCandidate(
-                access.primary_addr + k * stride, target_warp=access.warp_id
-            )
-            for k in range(1, self._self_degree + 1)
-        ]
-
-    def _interwarp_stride(self, entry: PTEntry, access: LoadAccess) -> Optional[int]:
-        """Stride per warp-ID step between the two most recent executions."""
-        delta = access.primary_addr - entry.last_addr
-        warp_delta = access.warp_id - entry.last_warp
-        if delta % warp_delta:
-            return None
-        return delta // warp_delta
+        return [(addr + k * stride, wid) for k in range(1, self._self_degree + 1)]
 
     def _insert(self, pc: int, entry: PTEntry) -> None:
         if self._pt_capacity <= 0:

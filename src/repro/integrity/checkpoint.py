@@ -26,8 +26,11 @@ from repro.resilience.atomic import atomic_write_bytes
 #: replaced the pool by a ready list and a wake heap and gained one
 #: completion callback per warp, and tag arrays gained their
 #: prefetched-line flag; 5: ``SMCore`` holds its engines' bound feedback
-#: hooks, and the L1 and L2 hold their tag sets and hoisted geometry).
-CHECKPOINT_FORMAT = 5
+#: hooks, and the L1 and L2 hold their tag sets and hoisted geometry; 6:
+#: LAWS keeps one priority key per warp instead of a queue list and hands
+#: SAP its missed group directly, holding no ``LoadAccess``, and ``SMCore``
+#: holds its L1's MSHR entries and prefetch-throttle threshold).
+CHECKPOINT_FORMAT = 6
 
 _MAGIC = "repro-checkpoint"
 

@@ -11,7 +11,7 @@ Every L1 miss and every store crosses this level once per line, so
 :meth:`L2Cache.access` and :meth:`L2Cache.write` each do their whole line
 in one call: they install the fills that have arrived, claim the line's
 bank and index the tag array's sets themselves, and a read miss claims
-its DRAM partition in place of :meth:`DRAMModel.request`.
+its DRAM partition and counts the DRAM traffic.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class L2Cache:
         start = now
         service = self._service_cycles
         if service:
-            # Hashed bank interleave, as DRAMModel.partition_of explains.
+            # Hashed bank interleave, as repro.mem.dram explains.
             free_at = self._bank_free_at
             bank = (idx ^ (idx >> 7) ^ (idx >> 15)) % len(free_at)
             if free_at[bank] > now:
@@ -89,7 +89,7 @@ class L2Cache:
             # Join the outstanding fill; data is forwarded when it lands.
             hit_ready = start + self._hit_latency
             return ready if ready > hit_ready else hit_ready
-        # DRAM read: claim the line's partition (DRAMModel.request inline).
+        # DRAM read: claim the line's (hashed) partition.
         idx = line_addr // self._dram_line_size
         free_at = self._partition_free_at
         part = (idx ^ (idx >> 7) ^ (idx >> 15)) % len(free_at)

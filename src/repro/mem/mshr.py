@@ -58,10 +58,6 @@ class MSHRFile:
         return self._capacity
 
     @property
-    def full(self) -> bool:
-        return len(self._entries) >= self._capacity
-
-    @property
     def occupancy_ratio(self) -> float:
         return len(self._entries) / self._capacity
 
@@ -86,9 +82,6 @@ class MSHRFile:
         self._entries[line_addr] = entry
         self.allocated_total += 1
         return entry
-
-    def can_merge(self, entry: MSHREntry) -> bool:
-        return len(entry.demand_issue_cycles) < self._merge_limit
 
     def merge_demand(self, entry: MSHREntry, now: int, callback: Optional[FillCallback]) -> bool:
         """Merge a demand request into an in-flight fill."""

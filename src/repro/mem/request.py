@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class LoadAccess:
+class LoadAccess(NamedTuple):
     """Summary of one executed (dynamic) load, as seen by schedulers/prefetchers.
 
+    An immutable named tuple, built once per load on the LSU feedback path.
     ``primary_addr`` is the byte address requested by the lowest thread ID —
     the address SAP's demand request queue stores (Section IV-B) and the one
     stride detection operates on.

@@ -103,7 +103,7 @@ class MemorySubsystem:
         self._stats = stats
         self._line_size = config.l1.line_size
         self.events = EventQueue()
-        self.dram = DRAMModel(config.dram, config.l1.line_size, stats.memory)
+        self.dram = DRAMModel(config.dram, config.l1.line_size)
         self.l2 = L2Cache(config.l2, self.dram, stats.memory)
         self.l1s: list[L1Cache] = []
         for sm_id in range(config.num_sms):

@@ -9,15 +9,17 @@ warp it covers; LAWS uses that feedback to prioritise prefetch targets
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.mem.request import LoadAccess
 
 
-@dataclass(frozen=True)
-class PrefetchCandidate:
-    """One address the prefetcher wants brought into L1."""
+class PrefetchCandidate(NamedTuple):
+    """One address the prefetcher wants brought into L1.
+
+    The pipeline unpacks each candidate as ``(addr, target_warp)``, so a
+    prefetcher may return plain 2-tuples in its place (SAP does).
+    """
 
     addr: int
     #: Warp whose future demand this prefetch covers, if known.

@@ -5,9 +5,13 @@ scheduler. Loads are coalesced into line requests and sent to the L1; if
 the L1 runs out of MSHRs mid-load the remaining requests enter a replay
 queue that blocks further memory issue (a structural hazard) until they
 commit. The LSU reports each load's primary outcome back to the scheduler
-(the signal LAWS acts on) and to the prefetcher, whose candidates are
-issued into the L1 as prefetch fills. Feedback goes only to an engine
-whose class overrides the hook; the base classes' no-ops are never called.
+(the signal LAWS acts on) and to the prefetcher, as one ``LoadAccess``
+named tuple, built only when an engine reads it: feedback goes only to an
+engine whose class overrides the hook, and the base classes' no-ops are
+never called. The prefetcher's ``(addr, target_warp)`` candidates are
+issued into the L1 as prefetch fills until the L1's MSHR entries reach the
+prefetch threshold, an entry count computed once per SM; the rest of that
+load's candidates are dropped together.
 """
 
 from __future__ import annotations
@@ -133,6 +137,8 @@ class SMCore:
         "_notify_mem_complete",
         "_observe_load",
         "_load_feedback",
+        "_mshrs",
+        "_prefetch_mshr_limit",
         "sleep_until",
     )
 
@@ -218,6 +224,15 @@ class SMCore:
         self._notify_mem_complete = _hook(scheduler, WarpScheduler, "notify_mem_complete")
         self._notify_load_result = _hook(scheduler, WarpScheduler, "notify_load_result")
         self._observe_load = _hook(prefetcher, Prefetcher, "observe_load")
+        #: The L1's MSHR file, and the entry count at which its occupancy
+        #: reaches ``PREFETCH_MSHR_LIMIT`` (the least ``n`` with
+        #: ``n / capacity >= PREFETCH_MSHR_LIMIT``), so the prefetch
+        #: throttle compares integers once per load.
+        mshrs = self._mshrs = l1.mshrs
+        self._prefetch_mshr_limit = next(
+            (n for n in range(mshrs.capacity + 1)
+             if n / mshrs.capacity >= self.PREFETCH_MSHR_LIMIT),
+            mshrs.capacity + 1)
         #: Whether a committed primary request calls ``_emit_load_feedback``:
         #: an engine reads the feedback, or (see ``attach_telemetry``) a
         #: traced run records a ``LoadOutcomeEvent`` per load.
@@ -462,15 +477,8 @@ class SMCore:
                 # Primary request committed: emit the LSU feedback.
                 self._emit_load_feedback(warp_id, pc, primary_addr, line_addrs, hit, now)
         if self.load_observers:
-            access = LoadAccess(
-                sm_id=self.sm_id,
-                warp_id=warp_id,
-                pc=pc,
-                primary_addr=primary_addr,
-                line_addrs=line_addrs,
-                primary_hit=line_hits[0],
-                cycle=now,
-            )
+            access = LoadAccess(self.sm_id, warp_id, pc, primary_addr, line_addrs,
+                                line_hits[0], now)
             for observer in self.load_observers:
                 observer(access, list(line_hits))
         return True
@@ -500,15 +508,8 @@ class SMCore:
         observe = self._observe_load
         if notify is None and observe is None:
             return
-        access = LoadAccess(
-            sm_id=self.sm_id,
-            warp_id=warp_id,
-            pc=pc,
-            primary_addr=primary_addr,
-            line_addrs=line_addrs,
-            primary_hit=primary_hit,
-            cycle=now,
-        )
+        access = LoadAccess(self.sm_id, warp_id, pc, primary_addr, line_addrs,
+                            primary_hit, now)
         if notify is not None:
             notify(access)
         if observe is None:
@@ -517,36 +518,42 @@ class SMCore:
         if not candidates:
             return
         line_size = self._line_size
+        l1 = self._l1
+        # Prefetches must not crowd out demand misses: leave MSHR headroom
+        # (adaptive throttling, as both STR and SAP do). Only an issued
+        # prefetch takes an entry, so once the entries reach the threshold
+        # every remaining candidate is dropped.
+        room = self._prefetch_mshr_limit - len(self._mshrs)
         targets = []
-        for cand in candidates:
-            line = cand.addr - (cand.addr % line_size)
-            # Prefetches must not crowd out demand misses: leave MSHR
-            # headroom (adaptive throttling, as both STR and SAP do).
-            if self._l1.mshr_occupancy >= self.PREFETCH_MSHR_LIMIT:
-                self._l1.stats.prefetch_dropped += 1
+        for i, (addr, target) in enumerate(candidates):
+            if room <= 0:
+                dropped = candidates[i:]
+                l1.stats.prefetch_dropped += len(dropped)
                 if emit_events:
-                    tel.emit(
-                        PrefetchDropEvent(
-                            cycle=now,
-                            sm=self.sm_id,
-                            line_addr=line,
-                            reason="mshr_pressure",
+                    for addr, _ in dropped:
+                        tel.emit(
+                            PrefetchDropEvent(
+                                cycle=now,
+                                sm=self.sm_id,
+                                line_addr=addr - addr % line_size,
+                                reason="mshr_pressure",
+                            )
                         )
-                    )
-                continue
-            issued = self._l1.prefetch(line, now)
-            if issued:
+                break
+            line = addr - addr % line_size
+            if l1.prefetch(line, now):
+                room -= 1
                 if emit_events:
                     tel.emit(
                         PrefetchIssueEvent(
                             cycle=now,
                             sm=self.sm_id,
                             line_addr=line,
-                            target_warp=cand.target_warp,
+                            target_warp=target,
                         )
                     )
-                if cand.target_warp is not None:
-                    targets.append(cand.target_warp)
+                if target is not None:
+                    targets.append(target)
         if targets:
             self._scheduler.notify_prefetch_targets(targets)
             if emit_events:

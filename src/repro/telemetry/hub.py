@@ -128,7 +128,6 @@ class TelemetryHub:
         for sm in simulator.sms:
             sm.attach_telemetry(SMTelemetry(self, sm.sm_id, self.stalls))
         subsystem.l2.telemetry = self
-        subsystem.dram.telemetry = self
 
     # ------------------------------------------------------------------
     # Run-time hooks (called by the simulator main loop)

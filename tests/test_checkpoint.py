@@ -142,6 +142,15 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="format 4 unsupported"):
             GPUSimulator.restore(pickle.dumps(payload))
 
+    def test_format_5_rejected(self):
+        # A format-5 pickle holds LAWS's queue as a list and its pending
+        # group paired with a LoadAccess, not per-warp priority keys.
+        sim = build("apres", mixed_kernel(6), make_config())
+        payload = pickle.loads(sim.snapshot())
+        payload["format"] = 5
+        with pytest.raises(CheckpointError, match="format 5 unsupported"):
+            GPUSimulator.restore(pickle.dumps(payload))
+
     def test_unpicklable_observer_raises_checkpoint_error(self):
         cfg = make_config()
         unpicklable = lambda access, hits: None  # noqa: E731 - the point

@@ -1,6 +1,7 @@
 """LAWS: queue-based priority scheduling driven by load outcomes."""
 
 from repro.core.laws import LAWSScheduler
+from repro.core.sap import SAPPrefetcher
 from repro.mem.request import LoadAccess
 from repro.sched.base import IssueCandidate
 
@@ -71,9 +72,8 @@ class TestGrouping:
         for w in (0, 2, 4):
             s.notify_load_result(result(w, 0x10, hit=True))
         s.notify_warp_finished(2)
-        access = result(0, 0x20, hit=False)
-        s.notify_load_result(access)
-        group = s.take_pending_group(access)
+        s.notify_load_result(result(0, 0x20, hit=False))
+        group = s.missed_group
         assert group is not None and 2 not in group
 
 
@@ -82,29 +82,24 @@ class TestSAPHandoff:
         s = make()
         for w in (0, 1):
             s.notify_load_result(result(w, 0x10, hit=True))
-        access = result(0, 0x20, hit=False)
-        s.notify_load_result(access)
-        assert s.take_pending_group(access) == frozenset({0, 1})
+        s.notify_load_result(result(0, 0x20, hit=False))
+        assert s.missed_group == frozenset({0, 1})
 
     def test_pending_group_is_one_shot(self):
         s = make()
+        sap = SAPPrefetcher(s)
+        sap.reset(6)
         access = result(0, 0x20, hit=False)
         s.notify_load_result(access)
-        assert s.take_pending_group(access) is not None
-        assert s.take_pending_group(access) is None
+        assert s.missed_group is not None
+        sap.observe_load(access)
+        assert s.missed_group is None
 
     def test_no_pending_group_on_hit(self):
         s = make()
-        access = result(0, 0x20, hit=True)
-        s.notify_load_result(access)
-        assert s.take_pending_group(access) is None
-
-    def test_pending_group_matched_to_access(self):
-        s = make()
-        first = result(0, 0x20, hit=False)
-        s.notify_load_result(first)
-        other = result(0, 0x20, hit=False)
-        assert s.take_pending_group(other) is None
+        s.notify_load_result(result(0, 0x20, hit=False))
+        s.notify_load_result(result(0, 0x20, hit=True))
+        assert s.missed_group is None
 
 
 class TestPrefetchTargets:

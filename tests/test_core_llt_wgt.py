@@ -21,12 +21,12 @@ class TestLLT:
         llt.update(0, 0x100)
         llt.update(1, 0x200)
         llt.update(2, 0x100)
-        assert llt.warps_with_llpc(0x100) == [0, 2]
+        assert llt.peers(0) == llt.peers(2) == {0, 2}
 
     def test_none_matches_unissued_warps(self):
         llt = LastLoadTable(4)
         llt.update(0, 0x100)
-        assert llt.warps_with_llpc(None) == [1, 2, 3]
+        assert llt.peers(1) == {1, 2, 3}
 
     def test_search_follows_updates(self):
         llt = LastLoadTable(4)
@@ -34,9 +34,8 @@ class TestLLT:
         llt.update(1, 0x100)
         llt.update(3, 0x200)
         llt.update(1, 0x100)  # unchanged LLPC
-        assert llt.warps_with_llpc(0x100) == [1]
-        assert llt.warps_with_llpc(0x200) == [3]
-        assert llt.warps_with_llpc(0x300) == []
+        assert llt.peers(1) == {1}
+        assert llt.peers(3) == {3}
         assert llt.peers(0) == {0, 2}
         llt.check_invariants()
 

@@ -19,7 +19,8 @@ def make(n=8, **kw):
 
 
 def drive_miss(laws, sap, warp, pc, addr):
-    """Route one missing load through LAWS then SAP, as the pipeline does."""
+    """Route one missing load through LAWS then SAP, as the pipeline does;
+    SAP's candidates are ``(addr, target_warp)`` tuples."""
     a = access(warp, pc, addr, hit=False)
     laws.notify_load_result(a)
     return sap.observe_load(a)
@@ -37,7 +38,7 @@ class TestGroupPrefetch:
         out = drive_miss(laws, sap, 2, 0x200, 2200)  # stride confirmed
         # Warps 0 and 1 already executed the load (their LLPC advanced), so
         # the group only holds warps still approaching it: warp 3.
-        by_warp = {c.target_warp: c.addr for c in out if c.target_warp != 2}
+        by_warp = {w: addr for addr, w in out if w != 2}
         assert by_warp == {3: 2200 + (3 - 2) * 100}
 
     def test_stride_mismatch_updates_but_does_not_fire(self):
@@ -45,7 +46,7 @@ class TestGroupPrefetch:
         drive_miss(laws, sap, 0, 0x200, 0)
         drive_miss(laws, sap, 1, 0x200, 100)
         out = drive_miss(laws, sap, 2, 0x200, 9999)  # stride breaks
-        assert [c for c in out if c.target_warp != 2] == []
+        assert [c for c in out if c[1] != 2] == []
         assert sap.stride_for(0x200) != 100
 
     def test_same_warp_reexecution_skipped(self):
@@ -81,7 +82,7 @@ class TestGroupPrefetch:
         a = access(2, 0x200, 200, hit=False)
         # SAP sees the access without LAWS having parked a group.
         out = sap.observe_load(a)
-        assert [c for c in out if c.target_warp != 2] == []
+        assert [c for c in out if c[1] != 2] == []
 
 
 class TestSelfPrefetch:
@@ -90,7 +91,7 @@ class TestSelfPrefetch:
         drive_miss(laws, sap, 3, 0x200, 0)
         drive_miss(laws, sap, 3, 0x200, 4096)
         out = drive_miss(laws, sap, 3, 0x200, 8192)
-        mine = [c.addr for c in out if c.target_warp == 3]
+        mine = [addr for addr, w in out if w == 3]
         assert mine == [12288, 16384]
 
     def test_streams_are_per_warp(self):
@@ -99,13 +100,13 @@ class TestSelfPrefetch:
             drive_miss(laws, sap, 3, 0x200, addr)
         # A different warp on the same PC has its own stream: no fire yet.
         out = drive_miss(laws, sap, 4, 0x200, 70_000)
-        assert [c for c in out if c.target_warp == 4] == []
+        assert [c for c in out if c[1] == 4] == []
 
     def test_zero_stride_suppressed(self):
         laws, sap = make(self_degree=1)
         for _ in range(4):
             out = drive_miss(laws, sap, 3, 0x200, 512)
-        assert [c for c in out if c.target_warp == 3] == []
+        assert [c for c in out if c[1] == 3] == []
 
 
 class TestBuildApres:

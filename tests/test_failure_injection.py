@@ -11,7 +11,9 @@ from repro.mem.request import LoadAccess
 from repro.prefetch.base import Prefetcher, PrefetchCandidate
 from repro.prefetch.none import NullPrefetcher
 from repro.sched.lrr import LRRScheduler
+from repro.sm.pipeline import SMCore
 from repro.sm.simulator import simulate
+from repro.telemetry import InMemorySink, TelemetryHub
 
 GB = 1 << 30
 
@@ -128,3 +130,68 @@ class TestDegenerateConfigurations:
         result = simulate(mixed_kernel(3), cfg,
                           lambda: (LRRScheduler(), NullPrefetcher()))
         assert result.stats.instructions == mixed_kernel(3).instructions_per_warp
+
+
+class TargetRecorder(LRRScheduler):
+    """LRR that records every promotion of prefetch target warps."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.promoted: list[list[int]] = []
+
+    def notify_prefetch_targets(self, target_warps) -> None:
+        self.promoted.append(list(target_warps))
+
+
+def per_candidate_feedback(self, warp_id, pc, primary_addr, line_addrs, primary_hit, now):
+    """The prefetch throttle as a per-candidate rule: read the MSHR
+    occupancy before every candidate and drop it at the limit."""
+    access = LoadAccess(self.sm_id, warp_id, pc, primary_addr, line_addrs, primary_hit, now)
+    targets = []
+    for addr, target in self._prefetcher.observe_load(access):
+        if self._l1.mshr_occupancy >= SMCore.PREFETCH_MSHR_LIMIT:
+            self._l1.stats.prefetch_dropped += 1
+            continue
+        if self._l1.prefetch(addr - addr % self._line_size, now) and target is not None:
+            targets.append(target)
+    if targets:
+        self._scheduler.notify_prefetch_targets(targets)
+
+
+def burst_run(mshrs: int, telemetry=None):
+    engines: list = []
+
+    def factory():
+        pair = (TargetRecorder(), WildPrefetcher(burst=24))
+        engines.append(pair[0])
+        return pair
+
+    result = simulate(streaming_kernel(iterations=6), make_config(num_sms=2, mshrs=mshrs),
+                      factory, telemetry=telemetry)
+    return result.stats, [sched.promoted for sched in engines]
+
+
+class TestPrefetchThrottle:
+    @pytest.mark.parametrize("mshrs", [2, 3, 7, 16])
+    def test_matches_the_per_candidate_rule(self, mshrs, monkeypatch):
+        stats, promoted = burst_run(mshrs)
+        assert stats.l1.prefetch_issued > 0 and stats.l1.prefetch_dropped > 0
+        monkeypatch.setattr(SMCore, "_emit_load_feedback", per_candidate_feedback)
+        ref_stats, ref_promoted = burst_run(mshrs)
+        assert stats.l1.prefetch_dropped == ref_stats.l1.prefetch_dropped
+        assert stats.l1.prefetch_issued == ref_stats.l1.prefetch_issued
+        assert promoted == ref_promoted
+        assert stats.as_dict() == ref_stats.as_dict()
+
+    def test_traced_run_drops_the_same_and_reports_each_drop(self):
+        stats, promoted = burst_run(7)
+        hub = TelemetryHub()
+        sink = InMemorySink()
+        hub.add_event_sink(sink)
+        traced, traced_promoted = burst_run(7, telemetry=hub)
+        assert traced.as_dict() == stats.as_dict()
+        assert traced_promoted == promoted
+        drops = sink.events_of_kind("prefetch_drop")
+        assert len(drops) == traced.l1.prefetch_dropped
+        assert any(d.reason == "mshr_pressure" for d in drops)
+        assert len(sink.events_of_kind("prefetch_issue")) == traced.l1.prefetch_issued

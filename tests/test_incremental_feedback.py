@@ -1,10 +1,12 @@
 """The incremental issue and feedback paths against the code they replaced.
 
 ``SMCore`` keeps a ready list and a wake heap of its issuable warps, the LLT keeps an
-``llpc → warps`` index, LAWS moves groups in one pass and selects against
-a ready bitmap, and CCWS and GTO select from ascending candidates without
-building a set (CCWS also scores each warp once per ranking). The references below are the list-rebuilding and
-set-building versions; Hypothesis drives both sides with the same calls.
+``llpc → warps`` index, LAWS keeps one priority key per warp (a move
+re-keys the group or its complement, a select is a min over the
+candidates) and hands its missed group to SAP directly, and CCWS and GTO
+select from ascending candidates without building a set (CCWS also scores
+each warp once per ranking). The references below are the list-rebuilding
+and set-building versions; Hypothesis drives both sides with the same calls.
 The ready list and wake heap are checked end to end by
 ``tests/test_sm_sleep.py``, whose reference loop scans every warp.
 """
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import APRESConfig
 from repro.core.laws import LAWSScheduler
+from repro.core.sap import SAPPrefetcher
 from repro.core.wgt import WarpGroupTable
 from repro.errors import InvariantError
 from repro.mem.request import LoadAccess
@@ -62,7 +65,8 @@ class ReferenceLAWS:
         self._queue = list(range(num_warps))
         self._llt = ScanLLT(num_warps)
         self._wgt = WarpGroupTable(apres_config.wgt_entries, num_warps)
-        self._pending_group = None
+        #: The group SAP takes after a miss; one-shot.
+        self._missed_group: Optional[frozenset[int]] = None
         self._finished: set[int] = set()
 
     @property
@@ -104,21 +108,17 @@ class ReferenceLAWS:
         self.events += 1
         stored = self._wgt.invalidate(gid)
         if stored is None:
+            self._missed_group = None
             return
         if access.primary_hit:
             self._move_to_head(stored)
-            self._pending_group = None
+            self._missed_group = None
         else:
             self._move_to_tail(stored, last=wid)
-            self._pending_group = (stored, access)
+            self._missed_group = stored
 
-    def take_pending_group(self, access: LoadAccess) -> Optional[frozenset[int]]:
-        if self._pending_group is None:
-            return None
-        group, pending_access = self._pending_group
-        if pending_access is not access:
-            return None
-        self._pending_group = None
+    def take_missed_group(self) -> Optional[frozenset[int]]:
+        group, self._missed_group = self._missed_group, None
         return group
 
     def notify_prefetch_targets(self, target_warps: Sequence[int]) -> None:
@@ -139,21 +139,38 @@ def laws_scripts(draw):
     num_warps = draw(st.integers(1, 48))
     wgt_entries = draw(st.integers(1, 4))
     warp = st.integers(0, num_warps - 1)
+    # Most loads go to one PC, so most groups (the warps sharing the
+    # issuer's last-load PC) hold more than half the pool and the move
+    # re-keys their complement instead.
+    pc = st.sampled_from((PCS[0], PCS[0], PCS[0], PCS[1], PCS[2]))
     ops = []
     for _ in range(draw(st.integers(1, 80))):
         kind = draw(st.sampled_from(("load", "load", "load", "targets", "finish",
                                      "select", "take")))
         if kind == "load":
-            ops.append((kind, draw(warp), draw(st.sampled_from(PCS)), draw(st.booleans())))
+            ops.append((kind, draw(warp), draw(pc), draw(st.booleans())))
         elif kind == "targets":
-            ops.append((kind, draw(st.lists(warp, max_size=num_warps))))
+            # Half the promotions name more than half the pool.
+            large = draw(st.booleans())
+            ops.append((kind, draw(st.lists(warp, min_size=num_warps // 2 + 1 if large else 0,
+                                            max_size=2 * num_warps))))
         elif kind == "finish":
             ops.append((kind, draw(warp)))
         elif kind == "select":
             ops.append((kind, ascending_candidates(draw, num_warps)))
         else:
-            ops.append((kind, draw(st.booleans())))
+            ops.append((kind,))
     return num_warps, wgt_entries, ops
+
+
+class GroupProbe(SAPPrefetcher):
+    """SAP recording the group it takes from LAWS."""
+
+    received: object = "nothing"
+
+    def _group_prefetch(self, access, group):
+        self.received = group
+        return super()._group_prefetch(access, group)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,6 +180,8 @@ def test_laws_matches_list_rebuilding_reference(script):
     cfg = APRESConfig(wgt_entries=wgt_entries)
     new = LAWSScheduler(cfg)
     new.reset(num_warps)
+    sap = GroupProbe(new, cfg)
+    sap.reset(num_warps)
     ref = ReferenceLAWS(num_warps, cfg)
     last: Optional[LoadAccess] = None
     for cycle, op in enumerate(ops):
@@ -180,16 +199,38 @@ def test_laws_matches_list_rebuilding_reference(script):
             ref.notify_warp_finished(op[1])
         elif kind == "select":
             assert new.select(op[1], cycle) == ref.select(op[1], cycle)
-        else:
-            # The pending group is matched to the very access object.
-            access = last if op[1] or last is None else LoadAccess(
-                0, last.warp_id, last.pc, last.primary_addr, last.line_addrs,
-                last.primary_hit, last.cycle)
-            if access is not None:
-                assert new.take_pending_group(access) == ref.take_pending_group(access)
+        elif last is not None and not last.primary_hit:
+            # SAP takes the group of the last miss, once: a second take
+            # before the next load receives nothing.
+            sap.received = "nothing"
+            sap.observe_load(last)
+            assert sap.received == ref.take_missed_group()
         assert new.queue == ref.queue
         assert new.events == ref.events
-    new.check_invariants()
+        new.check_invariants()
+
+
+def test_laws_invariants_reject_duplicate_or_out_of_bounds_keys():
+    laws = LAWSScheduler()
+    laws.reset(8)
+    for w in range(8):
+        laws.notify_load_result(LoadAccess(0, w, PCS[w % 2], 0, (0,), w % 3 == 0, w))
+    laws.check_invariants()
+    key = laws._key
+    saved = list(key)
+    key[3] = key[5]
+    with pytest.raises(InvariantError, match="LAWS"):
+        laws.check_invariants()
+    key[:] = saved
+    key[2] = laws._lo - 1
+    with pytest.raises(InvariantError, match="LAWS"):
+        laws.check_invariants()
+    key[:] = saved
+    key[6] = laws._hi + 1
+    with pytest.raises(InvariantError, match="LAWS"):
+        laws.check_invariants()
+    key[:] = saved
+    laws.check_invariants()
 
 
 # ----------------------------------------------------------------------

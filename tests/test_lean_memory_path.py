@@ -188,11 +188,11 @@ def test_fused_l2_matches_the_call_chain(l2_line, dram_line, sets, assoc, banks,
                       service_cycles=dram_service)
     ref_stats, new_stats = MemoryStats(), MemoryStats()
     ref = _RefL2(cache, _RefDRAM(dram, dram_line, ref_stats), ref_stats)
-    new_dram = DRAMModel(dram, dram_line, new_stats)
+    new_dram = DRAMModel(dram, dram_line)
     new = L2Cache(cache, new_dram, new_stats)
     if traced:
         ref.telemetry = ref._dram.telemetry = _Recorder()
-        new.telemetry = new_dram.telemetry = _Recorder()
+        new.telemetry = _Recorder()
     now = 0
     for kind, addr, advance in ops:
         now += advance
@@ -219,9 +219,9 @@ def test_fused_l2_matches_the_call_chain(l2_line, dram_line, sets, assoc, banks,
 def _run_counting_load_accesses(monkeypatch, config: str):
     built: list[int] = []
 
-    def counting(**fields):
+    def counting(*fields):
         built.append(1)
-        return LoadAccess(**fields)
+        return LoadAccess(*fields)
 
     monkeypatch.setattr(pipeline, "LoadAccess", counting)
     result = simulate(mixed_kernel(iterations=6), make_config(num_sms=2),

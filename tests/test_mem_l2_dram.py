@@ -6,60 +6,56 @@ from repro.mem.l2 import L2Cache
 from repro.stats.counters import MemoryStats
 
 
-def make_dram(partitions=2, latency=100, service=10):
+def make_l2(hit_latency=50, banks=2, service=0, size=4 * 1024, dram=None):
     stats = MemoryStats()
-    return DRAMModel(DRAMConfig(partitions, latency, service), 128, stats), stats
-
-
-def make_l2(hit_latency=50, banks=2, service=0, size=4 * 1024):
-    stats = MemoryStats()
-    dram, _ = make_dram()
     cfg = CacheConfig(size_bytes=size, associativity=4, hit_latency=hit_latency,
                       num_banks=banks, service_cycles=service)
-    return L2Cache(cfg, DRAMModel(DRAMConfig(2, 100, 10), 128, stats), stats), stats
+    dram = dram or make_dram()
+    return L2Cache(cfg, dram, stats), stats
+
+
+def make_dram(partitions=2, latency=100, service=10):
+    return DRAMModel(DRAMConfig(partitions, latency, service), 128)
 
 
 class TestDRAM:
+    """DRAM timing as an L2 read miss sees it: the L2 claims the line's
+    partition itself."""
+
     def test_unloaded_latency(self):
-        dram, _ = make_dram(latency=100)
-        assert dram.request(0, now=5) == 105
+        l2, _ = make_l2(dram=make_dram(latency=100))
+        assert l2.access(0, now=5) == 105
 
     def test_same_partition_queues(self):
-        dram, _ = make_dram(partitions=1, latency=100, service=10)
-        assert dram.request(0, 0) == 100
+        l2, _ = make_l2(dram=make_dram(partitions=1, latency=100, service=10))
+        assert l2.access(0, 0) == 100
         # Second request waits for the partition to free up.
-        assert dram.request(128, 0) == 110
+        assert l2.access(128, 0) == 110
 
     def test_different_partitions_parallel(self):
-        dram, _ = make_dram(partitions=4, latency=100, service=10)
-        lines, times = [], []
-        # Find lines mapping to distinct partitions via the hash.
-        for i in range(64):
-            if dram.partition_of(i * 128) not in [dram.partition_of(l) for l in lines]:
-                lines.append(i * 128)
-            if len(lines) == 2:
-                break
-        for line in lines:
-            times.append(dram.request(line, 0))
-        assert times == [100, 100]
+        l2, _ = make_l2(dram=make_dram(partitions=4, latency=100, service=10))
+        # Line indices 0 and 1 hash to partitions 0 and 1.
+        assert [l2.access(0, 0), l2.access(128, 0)] == [100, 100]
 
     def test_traffic_counted(self):
-        dram, stats = make_dram()
-        dram.request(0, 0)
-        dram.request(1024, 0)
+        l2, stats = make_l2()
+        l2.access(0, 0)
+        l2.access(1024, 0)
         assert stats.dram_requests == 2
         assert stats.bytes_dram_to_l2 == 256
 
-    def test_queue_delay_diagnostic(self):
-        dram, _ = make_dram(partitions=1, service=10)
-        assert dram.queue_delay(0, 0) == 0
-        dram.request(0, 0)
-        assert dram.queue_delay(0, 0) == 10
+    def test_queue_depths_diagnostic(self):
+        dram = make_dram(partitions=1, service=10)
+        l2, _ = make_l2(dram=dram)
+        assert dram.queue_depths(0) == [0] and dram.busy_partitions(0) == 0
+        l2.access(0, 0)
+        assert dram.queue_depths(0) == [10] and dram.busy_partitions(0) == 1
 
     def test_hashed_partitions_spread_large_power_of_two_strides(self):
-        dram, _ = make_dram(partitions=6, latency=100, service=10)
-        parts = {dram.partition_of(i * 6 * 128) for i in range(32)}
-        assert len(parts) > 1  # a linear mapping would camp on one
+        l2, _ = make_l2(dram=make_dram(partitions=6, latency=100, service=10))
+        times = [l2.access(i * 6 * 128, 0) for i in range(32)]
+        # A linear mapping would camp on one partition and serialise them.
+        assert times.count(100) > 1
 
 
 class TestL2:

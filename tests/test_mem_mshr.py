@@ -27,7 +27,7 @@ class TestAllocate:
         m = make(entries=2)
         assert m.allocate(0x100, 0, False)
         assert m.allocate(0x200, 0, False)
-        assert m.full
+        assert len(m) == m.capacity == 2
         assert m.allocate(0x300, 0, False) is None
 
     def test_occupancy_ratio(self):
@@ -55,7 +55,6 @@ class TestMerge:
         e = m.allocate(0x100, 0, False)
         assert m.merge_demand(e, 1, None)
         assert m.merge_demand(e, 2, None)
-        assert not m.can_merge(e)
         assert not m.merge_demand(e, 3, None)
         assert e.demand_issue_cycles == [1, 2]
 
@@ -71,11 +70,11 @@ class TestRelease:
     def test_release_frees_slot(self):
         m = make(entries=1)
         m.allocate(0x100, 0, False)
-        assert m.full
+        assert m.allocate(0x200, 0, False) is None
         released = m.release(0x100)
         assert released.line_addr == 0x100
-        assert not m.full
         assert m.lookup(0x100) is None
+        assert m.allocate(0x200, 0, False) is not None
 
     def test_release_missing_raises(self):
         with pytest.raises(KeyError):

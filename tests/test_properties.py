@@ -83,10 +83,9 @@ def test_laws_queue_is_permutation(events):
     for warp, pc, hit in events:
         access = LoadAccess(0, warp, pc, warp * 100, (warp * 100,), hit, 0)
         laws.notify_load_result(access)
-        if not hit:
-            laws.take_pending_group(access)
         laws.notify_prefetch_targets([warp])
     assert sorted(laws.queue) == list(range(8))
+    laws.check_invariants()
 
 
 # ----------------------------------------------------------------------
