@@ -36,7 +36,6 @@ from repro.integrity import load_checkpoint, save_checkpoint
 from repro.isa import KernelSpec
 from repro.sm import GPUSimulator, SimulationResult, simulate
 from repro.telemetry import STALL_CAUSES, TelemetryHub
-from repro.trace import TraceRecorder, load_trace, replay_trace, save_trace
 from repro.workloads import SUITE, WorkloadSpec, build_kernel, workload
 
 __version__ = "1.0.0"
@@ -78,10 +77,6 @@ __all__ = [
     "simulate",
     "STALL_CAUSES",
     "TelemetryHub",
-    "TraceRecorder",
-    "load_trace",
-    "replay_trace",
-    "save_trace",
     "SUITE",
     "WorkloadSpec",
     "build_kernel",

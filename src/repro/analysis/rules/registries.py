@@ -1,13 +1,14 @@
 """SL004 — registry keys: no module-level registry literal repeats a key.
 
-Schedulers, prefetchers, figure producers and metrics are looked up by
-name through module-level ``UPPER_CASE`` dict literals (``SCHEDULERS``,
-``PRODUCERS``, ``METRICS``, ...). A repeated constant key in such a
-literal silently drops the earlier entry: a second ``"figure14"`` entry
-in ``experiments.export.PRODUCERS`` makes ``export_figure`` write another
-figure's data under that name, and tier-1 passes. The rule reports each
-duplicate occurrence, plain or annotated assignment alike; lowercase
-dicts are data, not registries, and are exempt.
+Schedulers, prefetchers, workloads and the paper's figures are looked
+up by name through module-level ``UPPER_CASE`` dict literals
+(``SCHEDULERS``, ``SUITE``, ``FIGURES``, ...). A repeated constant key in
+such a literal silently drops the earlier entry: a second ``"figure14"``
+entry in ``experiments.figures.FIGURES`` whose spec produces figure13's
+data makes ``repro figure 14`` print and archive another figure's data
+under that name. The rule reports each duplicate occurrence, plain or
+annotated assignment alike; lowercase dicts are data, not registries,
+and are exempt.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ Commands::
     run APP CONFIG [--scale S]           simulate one point, print metrics
                                          (and, traced, its stall report)
     compare APP [CONFIG ...]             speedups over baseline for one app
-    characterize APP [--scale S]         Table I rows for one workload
-    table {1,2} [--scale S]              regenerate a paper table
+    table {1,2} [--apps A ...]           regenerate a paper table
     figure {2,3,4,10,11,12,13,14,15}     regenerate a paper figure's data
     validate [--scale S]                 check the reproduction's shape claims
     sweep --out R.jsonl [...]            crash-safe multi-point sweep
@@ -20,6 +19,12 @@ Commands::
     chaos --faults K,K [...]             sweep under injected faults; assert
                                          output byte-identical to clean run
     fsck [--repair]                      audit (and heal) the run registry
+
+``figure`` and ``table`` are one handler over
+:data:`repro.experiments.figures.FIGURES`, where each table and figure
+is declared once: its producer, printed table, golden grid, scorecard
+scoring and the configurations a pool prewarms. ``scorecard``,
+``report`` and ``validate`` read the same table.
 
 ``run`` is the traced run: ``--telemetry`` (stall attribution,
 reconciled exactly against the counters, + heartbeat), ``--trace-out
@@ -34,11 +39,12 @@ time, profile ``run`` with the standard library::
 ``run`` and ``sweep`` accept ``--cycle-budget N`` (hard simulated-cycle
 limit) and ``--watchdog N`` (abort after N cycles without progress, with a
 diagnostic dump). ``sweep``, ``figure`` and ``scorecard`` accept
-``--jobs N`` (or ``$REPRO_JOBS``; ``0`` = one worker per CPU) to
-fan independent simulation points over a process pool — results are
-bit-identical to a serial run because each point is deterministic and all
-persistence stays in the parent process; a sweep prints the same
-``[sweep]`` line per stored point, in point order, at any ``--jobs``.
+``--jobs N`` (or ``$REPRO_JOBS``, which ``validate`` reads too; ``0`` =
+one worker per CPU) to fan independent simulation points over a process
+pool — results are bit-identical to a serial run because each point is
+deterministic and all persistence stays in the parent process; a sweep
+prints the same ``[sweep]`` line per stored point, in point order, at
+any ``--jobs``.
 ``sweep --no-cache`` forces re-simulation of points whose records the
 registry already holds (otherwise they are replayed verbatim — run
 memoization). A sweep
@@ -269,104 +275,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_characterize(args: argparse.Namespace) -> int:
-    data = figures.table1(apps=[args.app], scale=args.scale)
-    rows = []
-    for r in data[args.app]:
-        stride = "-" if r.top_stride is None else r.top_stride
-        rows.append([f"0x{r.pc:X}", f"{r.pct_load:.1%}", f"{r.lines_per_ref:.2f}",
-                     f"{r.miss_rate:.2f}", stride, f"{r.pct_stride:.1%}"])
-    print(format_table(["PC", "%Load", "#L/#R", "MissRate", "Stride", "%Stride"],
-                       rows, title=f"{args.app}: per-load characterisation"))
-    return 0
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    if args.number == 1:
-        return _cmd_characterize_all(args)
-    cost = figures.table2()
-    rows = [
-        ["LAWS: LLT", cost.llt_bytes],
-        ["LAWS: WGT", cost.wgt_bytes],
-        ["SAP: DRQ", cost.drq_bytes],
-        ["SAP: WQ", cost.wq_bytes],
-        ["SAP: PT", cost.pt_bytes],
-        ["Total", cost.total_bytes],
-    ]
-    print(format_table(["Structure", "Bytes"], rows, title="Table II"))
-    _ingest_figure(args, "table2", cost, args.scale)
-    return 0
-
-
-def _cmd_characterize_all(args: argparse.Namespace) -> int:
-    data = figures.table1(scale=args.scale)
-    rows = []
-    for app, load_rows in data.items():
-        for r in load_rows:
-            stride = "-" if r.top_stride is None else r.top_stride
-            rows.append([app, f"0x{r.pc:X}", f"{r.pct_load:.1%}",
-                         f"{r.lines_per_ref:.2f}", f"{r.miss_rate:.2f}",
-                         stride, f"{r.pct_stride:.1%}"])
-    print(format_table(
-        ["App", "PC", "%Load", "#L/#R", "MissRate", "Stride", "%Stride"],
-        rows, title="Table I"))
-    _ingest_figure(args, "table1", data, args.scale)
-    return 0
-
-
-def _print_grid(data: dict, title: str) -> None:
-    apps = list(next(iter(data.values())))
-    rows = [[config] + [f"{data[config][a]:.3f}" for a in apps] for config in data]
-    print(format_table(["Config"] + apps, rows, title=title))
-
-
-def _print_figure2(data: dict) -> None:
-    rows = []
-    for app, variants in data.items():
-        for label in ("B", "C"):
-            r = variants[label]
-            rows.append([app, label, f"{r.cold_ratio:.2f}",
-                         f"{r.capacity_conflict_ratio:.2f}", f"{r.speedup:.2f}"])
-    print(format_table(["App", "L1", "Cold", "Cap+Conf", "Speedup"], rows,
-                       title="Figure 2"))
-
-
-def _print_figure11(data: dict) -> None:
-    rows = []
-    for app, per_config in data.items():
-        for label, r in per_config.items():
-            rows.append([app, label, f"{r.hit_after_hit:.2f}", f"{r.hit_after_miss:.2f}",
-                         f"{r.cold:.2f}", f"{r.capacity_conflict:.2f}"])
-    print(format_table(
-        ["App", "Cfg", "HaH", "HaM", "Cold", "Cap+Conf"], rows, title="Figure 11"))
-
-
-_FIGURE_PRINTERS = {
-    2: _print_figure2,
-    3: lambda data: _print_grid(data, "Figure 3"),
-    4: lambda data: _print_grid(data, "Figure 4"),
-    10: lambda data: _print_grid(data, "Figure 10"),
-    11: _print_figure11,
-    12: lambda data: _print_grid(data, "Figure 12"),
-    13: lambda data: _print_grid(data, "Figure 13"),
-    14: lambda data: _print_grid(data, "Figure 14"),
-    15: lambda data: _print_grid(data, "Figure 15"),
-}
-
-#: Numbers accepted by ``repro figure`` (kept for parser choices).
-_FIGURES = _FIGURE_PRINTERS
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
+    """``repro figure N`` and ``repro table N``: produce, print, ingest."""
+    name = f"{args.command}{args.number}"
+    spec = figures.FIGURES[name]
     apps = args.apps or None
-    name = f"figure{args.number}"
     from repro.experiments.parallel import figure_points
 
     _prewarm_points(figure_points(name, apps, args.scale), _resolved_jobs(args))
-    payload = getattr(figures, name)(apps, args.scale)
-    _FIGURE_PRINTERS[args.number](payload)
+    payload = spec.producer(apps, args.scale)
+    print(spec.formatter(payload, spec.title))
     _ingest_figure(args, name, payload, args.scale, apps)
     return 0
+
+
+def _numbers(prefix: str) -> list[int]:
+    """``repro figure``/``table`` choices: the numbers FIGURES declares."""
+    return sorted(int(name[len(prefix):]) for name in figures.FIGURES
+                  if name.startswith(prefix))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -663,8 +589,15 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.experiments.validate import check_claims, format_report
+    from repro.experiments.parallel import scorecard_points
+    from repro.experiments.validate import (
+        CLAIM_FIGURES,
+        check_claims,
+        format_report,
+    )
 
+    _prewarm_points(scorecard_points(CLAIM_FIGURES, args.apps or None,
+                                     args.scale), _resolved_jobs(args))
     results = check_claims(scale=args.scale, apps=args.apps or None)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
@@ -728,17 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("configs", nargs="*", metavar="CONFIG")
     p_cmp.add_argument("--scale", type=float, default=0.5)
 
-    p_char = sub.add_parser("characterize", help="Table I rows for one workload")
-    p_char.add_argument("app", choices=sorted(SUITE))
-    p_char.add_argument("--scale", type=float, default=0.5)
-
     p_table = sub.add_parser("table", help="regenerate a paper table")
-    p_table.add_argument("number", type=int, choices=(1, 2))
+    p_table.add_argument("number", type=int, choices=_numbers("table"))
     p_table.add_argument("--scale", type=float, default=0.5)
+    p_table.add_argument("--apps", nargs="*", metavar="APP")
     add_registry_flag(p_table)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure's data")
-    p_fig.add_argument("number", type=int, choices=sorted(_FIGURES))
+    p_fig.add_argument("number", type=int, choices=_numbers("figure"))
     p_fig.add_argument("--scale", type=float, default=0.5)
     p_fig.add_argument("--apps", nargs="*", metavar="APP")
     add_parallel_flags(p_fig)
@@ -908,8 +838,7 @@ _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "characterize": _cmd_characterize,
-    "table": _cmd_table,
+    "table": _cmd_figure,
     "figure": _cmd_figure,
     "validate": _cmd_validate,
     "sweep": _cmd_sweep,

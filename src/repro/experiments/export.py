@@ -1,35 +1,15 @@
-"""Machine-readable export of experiment results.
+"""JSON-compatible form of experiment results.
 
-Every figure producer returns plain dictionaries/dataclasses; this module
-serialises them to JSON so plotting pipelines and regression dashboards
-can consume reproduction results without importing the library.
+Every figure producer returns plain dictionaries/dataclasses;
+:func:`to_jsonable` turns them into JSON data. The registry's figure
+record (:func:`repro.registry.records.figure_record`) is built on it and
+is the one machine-readable figure output.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
-from typing import Any, Callable, Optional, Sequence, Union
-
-from repro.experiments import figures
-
-PathLike = Union[str, pathlib.Path]
-
-#: Figure/table name -> producer taking (apps, scale).
-PRODUCERS: dict[str, Callable[..., Any]] = {
-    "table1": lambda apps, scale: figures.table1(apps=apps, scale=scale),
-    "table2": lambda apps, scale: figures.table2(),
-    "figure2": lambda apps, scale: figures.figure2(apps=apps, scale=scale),
-    "figure3": lambda apps, scale: figures.figure3(apps=apps, scale=scale),
-    "figure4": lambda apps, scale: figures.figure4(apps=apps, scale=scale),
-    "figure10": lambda apps, scale: figures.figure10(apps=apps, scale=scale),
-    "figure11": lambda apps, scale: figures.figure11(apps=apps, scale=scale),
-    "figure12": lambda apps, scale: figures.figure12(apps=apps, scale=scale),
-    "figure13": lambda apps, scale: figures.figure13(apps=apps, scale=scale),
-    "figure14": lambda apps, scale: figures.figure14(apps=apps, scale=scale),
-    "figure15": lambda apps, scale: figures.figure15(apps=apps, scale=scale),
-}
+from typing import Any
 
 
 def to_jsonable(value: Any) -> Any:
@@ -41,40 +21,3 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     return value
-
-
-def export_figure(
-    name: str,
-    path: PathLike,
-    apps: Optional[Sequence[str]] = None,
-    scale: float = 0.5,
-) -> dict:
-    """Produce one figure's data and write it as JSON; returns the payload."""
-    try:
-        producer = PRODUCERS[name]
-    except KeyError:
-        known = ", ".join(sorted(PRODUCERS))
-        raise ValueError(f"unknown export {name!r}; known: {known}") from None
-    payload = {
-        "experiment": name,
-        "scale": scale,
-        "apps": list(apps) if apps else None,
-        "data": to_jsonable(producer(apps, scale)),
-    }
-    from repro.resilience.atomic import atomic_write
-
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True))
-    return payload
-
-
-def export_all(directory: PathLike, apps: Optional[Sequence[str]] = None,
-               scale: float = 0.5) -> list[pathlib.Path]:
-    """Export every table and figure into ``directory`` (one JSON each)."""
-    out_dir = pathlib.Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in PRODUCERS:
-        path = out_dir / f"{name}.json"
-        export_figure(name, path, apps=apps, scale=scale)
-        written.append(path)
-    return written

@@ -1,7 +1,13 @@
-"""Data producers for every table and figure of the paper's evaluation.
+"""Every table and figure of the paper's evaluation, declared once.
 
-Each function runs (memoised) simulations and returns plain data
-structures; the benchmark harness and examples format them. Figure numbers
+Each producer ``(apps, scale)`` runs (memoised) simulations and returns
+plain data structures. :data:`FIGURES` maps each table and figure name to
+its :class:`FigureSpec`: the producer, its stdout table, the paper's
+golden grid, how the scorecard scores it, and the configurations it
+resolves through :func:`~repro.experiments.runner.run` (which a pool
+prewarms). ``repro figure``/``table``, the scorecard, the HTML report,
+``repro validate`` and the prewarmer all read that one table, so a figure
+is added by one producer, one golden grid and one entry. Figure numbers
 follow the paper.
 """
 
@@ -9,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.characterize.loads import LoadProfiler, LoadRow
 from repro.core.cost import HardwareCost, hardware_cost
+from repro.experiments import paper_data
 from repro.experiments.configs import CONFIGS, experiment_gpu_config
+from repro.experiments.report import format_table
 from repro.experiments.runner import RunResult, run, speedup
 from repro.sm.simulator import simulate
 from repro.workloads.suite import SUITE, memory_intensive_workloads, workload
@@ -32,6 +40,12 @@ FIG3_CONFIGS = [
 ]
 #: STR under the four schedulers (Figure 4).
 FIG4_CONFIGS = ["pa+str", "gto+str", "mascar+str", "ccws+str"]
+#: The best existing combination against APRES (Figures 12-14).
+VS_APRES_CONFIGS = ("ccws+str", "apres")
+#: APRES alone (Figure 15).
+FIG15_CONFIGS = ("apres",)
+#: The idealised L1 of Figure 2's "C" bars.
+LARGE_L1_BYTES = 32 * 1024 * 1024
 
 
 def geomean(values: Sequence[float]) -> float:
@@ -69,8 +83,13 @@ def table1(apps: Optional[Sequence[str]] = None, scale: float = 1.0,
 # ----------------------------------------------------------------------
 
 
-def table2() -> HardwareCost:
-    """APRES per-SM hardware cost (724 bytes with the paper's geometry)."""
+def table2(apps: Optional[Sequence[str]] = None, scale: float = 1.0
+           ) -> HardwareCost:
+    """APRES per-SM hardware cost (724 bytes with the paper's geometry).
+
+    Takes the producers' ``(apps, scale)`` and ignores both: the cost
+    follows from the configuration alone.
+    """
     return hardware_cost()
 
 
@@ -90,7 +109,8 @@ class MissBreakdownRow:
 
 
 def figure2(apps: Optional[Sequence[str]] = None, scale: float = 1.0,
-            large_l1_bytes: int = 32 * 1024 * 1024) -> dict[str, dict[str, MissBreakdownRow]]:
+            large_l1_bytes: int = LARGE_L1_BYTES
+            ) -> dict[str, dict[str, MissBreakdownRow]]:
     """Baseline (B) vs large-cache (C) miss breakdown per app."""
     out: dict[str, dict[str, MissBreakdownRow]] = {}
     small_cfg = experiment_gpu_config()
@@ -161,7 +181,7 @@ def figure4(apps: Optional[Sequence[str]] = None, scale: float = 1.0
 def figure12(apps: Optional[Sequence[str]] = None, scale: float = 1.0
              ) -> dict[str, dict[str, float]]:
     """Early evictions: best existing combination vs APRES."""
-    return early_eviction(["ccws+str", "apres"], apps, scale)
+    return early_eviction(VS_APRES_CONFIGS, apps, scale)
 
 
 # ----------------------------------------------------------------------
@@ -269,16 +289,139 @@ def normalised_metric(metric: str, configs: Sequence[str],
 def figure13(apps: Optional[Sequence[str]] = None, scale: float = 1.0
              ) -> dict[str, dict[str, float]]:
     """Average memory latency, normalised to baseline."""
-    return normalised_metric("latency", ["ccws+str", "apres"], apps, scale)
+    return normalised_metric("latency", VS_APRES_CONFIGS, apps, scale)
 
 
 def figure14(apps: Optional[Sequence[str]] = None, scale: float = 1.0
              ) -> dict[str, dict[str, float]]:
     """Data traffic, normalised to baseline."""
-    return normalised_metric("traffic", ["ccws+str", "apres"], apps, scale)
+    return normalised_metric("traffic", VS_APRES_CONFIGS, apps, scale)
 
 
 def figure15(apps: Optional[Sequence[str]] = None, scale: float = 1.0
              ) -> dict[str, dict[str, float]]:
     """Dynamic energy, normalised to baseline."""
-    return normalised_metric("energy", ["apres"], apps, scale)
+    return normalised_metric("energy", FIG15_CONFIGS, apps, scale)
+
+
+# ----------------------------------------------------------------------
+# Stdout tables (``repro figure N`` / ``repro table N``)
+# ----------------------------------------------------------------------
+
+
+def _format_table1(data: dict, title: str) -> str:
+    rows = []
+    for app, load_rows in data.items():
+        for r in load_rows:
+            stride = "-" if r.top_stride is None else r.top_stride
+            rows.append([app, f"0x{r.pc:X}", f"{r.pct_load:.1%}",
+                         f"{r.lines_per_ref:.2f}", f"{r.miss_rate:.2f}",
+                         stride, f"{r.pct_stride:.1%}"])
+    return format_table(
+        ["App", "PC", "%Load", "#L/#R", "MissRate", "Stride", "%Stride"],
+        rows, title=title)
+
+
+def _format_table2(cost: HardwareCost, title: str) -> str:
+    rows = [
+        ["LAWS: LLT", cost.llt_bytes],
+        ["LAWS: WGT", cost.wgt_bytes],
+        ["SAP: DRQ", cost.drq_bytes],
+        ["SAP: WQ", cost.wq_bytes],
+        ["SAP: PT", cost.pt_bytes],
+        ["Total", cost.total_bytes],
+    ]
+    return format_table(["Structure", "Bytes"], rows, title=title)
+
+
+def _format_grid(data: dict, title: str) -> str:
+    apps = list(next(iter(data.values())))
+    rows = [[config] + [f"{data[config][a]:.3f}" for a in apps] for config in data]
+    return format_table(["Config"] + apps, rows, title=title)
+
+
+def _format_figure2(data: dict, title: str) -> str:
+    rows = []
+    for app, variants in data.items():
+        for label in ("B", "C"):
+            r = variants[label]
+            rows.append([app, label, f"{r.cold_ratio:.2f}",
+                         f"{r.capacity_conflict_ratio:.2f}", f"{r.speedup:.2f}"])
+    return format_table(["App", "L1", "Cold", "Cap+Conf", "Speedup"], rows,
+                        title=title)
+
+
+def _format_figure11(data: dict, title: str) -> str:
+    rows = []
+    for app, per_config in data.items():
+        for label, r in per_config.items():
+            rows.append([app, label, f"{r.hit_after_hit:.2f}", f"{r.hit_after_miss:.2f}",
+                         f"{r.cold:.2f}", f"{r.capacity_conflict:.2f}"])
+    return format_table(
+        ["App", "Cfg", "HaH", "HaM", "Cold", "Cap+Conf"], rows, title=title)
+
+
+# ----------------------------------------------------------------------
+# The figure table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FigureSpec:
+    """One paper table or figure, as every consumer sees it."""
+
+    #: ``(apps, scale) -> data``; ``apps=None`` means the paper's set.
+    producer: Callable[[Optional[Sequence[str]], float], Any]
+    title: str
+    #: The paper's numbers, ``{series: {app: value}}`` (see paper_data).
+    golden: Mapping[str, Mapping[str, float]]
+    ylabel: str
+    #: ``(data, title) -> str``: the table ``repro figure``/``table`` prints.
+    formatter: Callable[[Any, str], str] = _format_grid
+    #: Selects the scorecard's reduction of the data to the golden shape.
+    kind: str = "grid"
+    #: Scored by ``repro scorecard`` when no ``--figures`` are given.
+    scored_by_default: bool = False
+    #: Every named configuration the producer resolves through run().
+    configs: tuple[str, ...] = ()
+    #: The L1 sizes those runs use (None: the experiment default).
+    l1_bytes: tuple[Optional[int], ...] = (None,)
+
+
+FIGURES: dict[str, FigureSpec] = {
+    "table1": FigureSpec(
+        table1, "Table I", paper_data.TABLE1, "dominant-load characteristics",
+        formatter=_format_table1, kind="table1"),
+    "table2": FigureSpec(
+        table2, "Table II", paper_data.TABLE2, "structure bytes",
+        formatter=_format_table2, kind="table2"),
+    "figure2": FigureSpec(
+        figure2, "Figure 2", paper_data.FIG2, "32 MB L1 speedup",
+        formatter=_format_figure2, kind="figure2",
+        configs=("base",), l1_bytes=(None, LARGE_L1_BYTES)),
+    "figure3": FigureSpec(
+        figure3, "Figure 3", paper_data.FIG3, "speedup vs baseline",
+        configs=(*FIG3_CONFIGS, "base")),
+    "figure4": FigureSpec(
+        figure4, "Figure 4", paper_data.FIG4, "early-eviction ratio",
+        configs=tuple(FIG4_CONFIGS)),
+    "figure10": FigureSpec(
+        figure10, "Figure 10", paper_data.FIG10, "speedup vs baseline",
+        scored_by_default=True, configs=(*FIG10_CONFIGS, "base")),
+    "figure11": FigureSpec(
+        figure11, "Figure 11", paper_data.FIG11, "L1 hit ratio",
+        formatter=_format_figure11, kind="figure11", scored_by_default=True,
+        configs=tuple(FIG11_CONFIGS.values())),
+    "figure12": FigureSpec(
+        figure12, "Figure 12", paper_data.FIG12, "early-eviction ratio",
+        scored_by_default=True, configs=VS_APRES_CONFIGS),
+    "figure13": FigureSpec(
+        figure13, "Figure 13", paper_data.FIG13, "normalised latency",
+        scored_by_default=True, configs=(*VS_APRES_CONFIGS, "base")),
+    "figure14": FigureSpec(
+        figure14, "Figure 14", paper_data.FIG14, "normalised traffic",
+        scored_by_default=True, configs=(*VS_APRES_CONFIGS, "base")),
+    "figure15": FigureSpec(
+        figure15, "Figure 15", paper_data.FIG15, "normalised energy",
+        scored_by_default=True, configs=(*FIG15_CONFIGS, "base")),
+}

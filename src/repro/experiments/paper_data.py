@@ -2,9 +2,9 @@
 
 Single source of truth for what the APRES paper (ISCA 2016) reports in
 its evaluation — the reference side of the fidelity scorecard
-(:mod:`repro.registry.scorecard`). Every producer in
-:mod:`repro.experiments.figures` must have an entry in ``GOLDEN`` *and*
-``SCORECARD`` here (``tests/test_scorecard.py`` checks both).
+(:mod:`repro.registry.scorecard`). Each grid below is the ``golden`` of
+one entry of :data:`repro.experiments.figures.FIGURES`
+(``tests/test_scorecard.py`` checks every producer has one).
 
 Provenance of the values, in decreasing precision:
 
@@ -17,15 +17,14 @@ Provenance of the values, in decreasing precision:
   encoded series reproduce the paper's quoted averages to within that
   precision.
 
-Keys mirror the producer names in :mod:`repro.experiments.figures`; app
-keys use the Table IV abbreviations. Aggregate keys (GMEAN/MEAN) are
+App keys use the Table IV abbreviations. Aggregate keys (GMEAN/MEAN) are
 deliberately absent — the scorecard derives aggregates from the per-app
 values so golden and measured sides are always aggregated identically.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 #: Table IV application order — every per-app series below follows it.
 PAPER_APPS: tuple[str, ...] = (
@@ -204,38 +203,4 @@ TABLE2 = {
         "pt": 210.0,
         "total": 724.0,
     },
-}
-
-#: Producer name -> golden grid ({series: {category: value}}). Every
-#: producer in repro.experiments.figures must appear here.
-GOLDEN: dict[str, Mapping[str, Mapping[str, float]]] = {
-    "table1": TABLE1,
-    "table2": TABLE2,
-    "figure2": FIG2,
-    "figure3": FIG3,
-    "figure4": FIG4,
-    "figure10": FIG10,
-    "figure11": FIG11,
-    "figure12": FIG12,
-    "figure13": FIG13,
-    "figure14": FIG14,
-    "figure15": FIG15,
-}
-
-#: Producer name -> scorecard spec: how measured data is reduced to the
-#: golden grid shape ("kind" selects the extractor in
-#: repro.registry.scorecard) and how the figure is labelled in reports.
-#: Every producer must appear here too.
-SCORECARD: dict[str, Mapping[str, str]] = {
-    "table1": {"kind": "table1", "ylabel": "dominant-load characteristics"},
-    "table2": {"kind": "table2", "ylabel": "structure bytes"},
-    "figure2": {"kind": "figure2", "ylabel": "32 MB L1 speedup"},
-    "figure3": {"kind": "grid", "ylabel": "speedup vs baseline"},
-    "figure4": {"kind": "grid", "ylabel": "early-eviction ratio"},
-    "figure10": {"kind": "grid", "ylabel": "speedup vs baseline"},
-    "figure11": {"kind": "figure11", "ylabel": "L1 hit ratio"},
-    "figure12": {"kind": "grid", "ylabel": "early-eviction ratio"},
-    "figure13": {"kind": "grid", "ylabel": "normalised latency"},
-    "figure14": {"kind": "grid", "ylabel": "normalised traffic"},
-    "figure15": {"kind": "grid", "ylabel": "normalised energy"},
 }

@@ -196,20 +196,6 @@ def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any], jobs: int) -> l
 # Figure / scorecard point enumeration
 # ----------------------------------------------------------------------
 
-#: Named configurations each figure's producer resolves through run().
-#: "base" is listed wherever the figure normalises against the baseline.
-_FIGURE_CONFIGS: dict[str, tuple[str, ...]] = {
-    "figure3": ("pa+str", "pa+sld", "gto+str", "gto+sld", "mascar+str",
-                "mascar+sld", "ccws+str", "ccws+sld", "base"),
-    "figure4": ("pa+str", "gto+str", "mascar+str", "ccws+str"),
-    "figure10": ("ccws", "laws", "ccws+str", "laws+str", "apres", "base"),
-    "figure11": ("base", "ccws", "laws", "ccws+str", "apres"),
-    "figure12": ("ccws+str", "apres"),
-    "figure13": ("ccws+str", "apres", "base"),
-    "figure14": ("ccws+str", "apres", "base"),
-    "figure15": ("apres", "base"),
-}
-
 
 def figure_points(
     name: str,
@@ -218,24 +204,26 @@ def figure_points(
 ) -> list[RunPoint]:
     """Every memoisable (workload, config, scale, gpu_config) a figure needs.
 
-    Prewarming these in a pool makes the figure's own (serial) producer a
-    pure cache walk. Figures that simulate outside the runner cache —
-    table1 attaches per-run load observers — return an empty list and
-    simply run serially.
+    The points come from the figure's
+    :class:`~repro.experiments.figures.FigureSpec` (``configs`` at each of
+    its ``l1_bytes``), so prewarming them in a pool makes the figure's own
+    (serial) producer a pure cache walk. Tables simulate outside the
+    runner cache (table1 attaches per-run load observers) or not at all,
+    and unknown names have no spec: both return an empty list and simply
+    run serially.
     """
     from repro.experiments.configs import experiment_gpu_config
-    from repro.experiments.figures import ALL_APPS
+    from repro.experiments.figures import ALL_APPS, FIGURES
 
+    spec = FIGURES.get(name)
+    if spec is None:
+        return []
     app_list = list(apps) if apps else list(ALL_APPS)
     cfg = experiment_gpu_config()
-    if name == "figure2":
-        large = cfg.with_l1_size(32 * 1024 * 1024)
-        return [(app, "base", scale, c) for app in app_list for c in (cfg, large)]
-    configs = _FIGURE_CONFIGS.get(name)
-    if configs is None:
-        return []
-    return [(app, config, scale, cfg)
-            for config in dict.fromkeys(configs) for app in app_list]
+    gpus = [cfg if size is None else cfg.with_l1_size(size)
+            for size in spec.l1_bytes]
+    return [(app, config, scale, gpu)
+            for config in spec.configs for gpu in gpus for app in app_list]
 
 
 def scorecard_points(

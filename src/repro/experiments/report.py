@@ -117,7 +117,7 @@ def _scorecard_section(payload: Mapping[str, Any]) -> str:
 
 
 def _figure_sections(payload: Mapping[str, Any]) -> str:
-    from repro.experiments.paper_data import SCORECARD
+    from repro.experiments.figures import FIGURES
     from repro.experiments.svg import grouped_bar_chart
 
     parts = []
@@ -141,7 +141,7 @@ def _figure_sections(payload: Mapping[str, Any]) -> str:
                 ])
         if not chart_data:
             continue
-        ylabel = str(SCORECARD.get(figure, {}).get("ylabel", ""))
+        ylabel = FIGURES[figure].ylabel if figure in FIGURES else ""
         chart = grouped_bar_chart(
             chart_data, title=f"{figure}: reproduction vs paper",
             ylabel=ylabel, width=1040,

@@ -1,17 +1,14 @@
 """Dependency-free SVG bar charts for the reproduced figures.
 
 The evaluation figures are grouped bar charts (apps on the X axis, one
-bar per configuration). This renderer emits small standalone SVG files so
-results can be eyeballed without any plotting stack — handy in the
-offline environments this reproduction targets.
+bar per configuration). This renderer emits standalone SVG markup, which
+the HTML report (``repro report --html``) inlines beside each figure's
+scorecard, so results can be eyeballed without any plotting stack.
 """
 
 from __future__ import annotations
 
-import pathlib
-from typing import Mapping, Optional, Sequence, Union
-
-PathLike = Union[str, pathlib.Path]
+from typing import Mapping, Optional
 
 #: Colour cycle (colour-blind-safe-ish).
 PALETTE = ("#4878CF", "#EE854A", "#6ACC64", "#D65F5F", "#956CB4",
@@ -121,42 +118,3 @@ def grouped_bar_chart(
         lx += 14 + 7 * len(s) + 22
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def save_chart(data: Mapping[str, Mapping[str, float]], path: PathLike,
-               title: str = "", ylabel: str = "",
-               baseline: Optional[float] = 1.0) -> pathlib.Path:
-    """Render and write one chart; returns the path."""
-    from repro.resilience.atomic import atomic_write
-
-    out = pathlib.Path(path)
-    atomic_write(out, grouped_bar_chart(data, title=title, ylabel=ylabel,
-                                        baseline=baseline))
-    return out
-
-
-def render_figure(name: str, directory: PathLike,
-                  apps: Optional[Sequence[str]] = None,
-                  scale: float = 0.5) -> pathlib.Path:
-    """Produce a figure's data and render it as ``<name>.svg``."""
-    from repro.experiments import figures
-
-    producers = {
-        "figure3": (figures.figure3, "speedup vs baseline"),
-        "figure4": (figures.figure4, "early eviction ratio"),
-        "figure10": (figures.figure10, "speedup vs baseline"),
-        "figure12": (figures.figure12, "early eviction ratio"),
-        "figure13": (figures.figure13, "normalised latency"),
-        "figure14": (figures.figure14, "normalised traffic"),
-        "figure15": (figures.figure15, "normalised energy"),
-    }
-    try:
-        producer, ylabel = producers[name]
-    except KeyError:
-        known = ", ".join(sorted(producers))
-        raise ValueError(f"unknown chart {name!r}; known: {known}") from None
-    data = producer(apps=apps, scale=scale)
-    out_dir = pathlib.Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return save_chart(data, out_dir / f"{name}.svg",
-                      title=f"{name} (reproduction)", ylabel=ylabel)

@@ -13,6 +13,10 @@ from typing import Optional, Sequence
 
 from repro.experiments import figures
 
+#: The tables and figures the claims read; ``repro validate`` prewarms
+#: their points.
+CLAIM_FIGURES = ("figure10", "figure13", "figure14", "figure2", "table2")
+
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -31,11 +35,8 @@ def _fmt(value: float) -> str:
 def check_claims(scale: float = 0.5,
                  apps: Optional[Sequence[str]] = None) -> list[ClaimResult]:
     """Evaluate every transfer claim; returns one result per claim."""
-    f10 = figures.figure10(apps=apps, scale=scale)
-    f13 = figures.figure13(apps=apps, scale=scale)
-    f14 = figures.figure14(apps=apps, scale=scale)
-    f2 = figures.figure2(apps=apps, scale=scale)
-    cost = figures.table2()
+    f10, f13, f14, f2, cost = (figures.FIGURES[name].producer(apps, scale)
+                               for name in CLAIM_FIGURES)
     results: list[ClaimResult] = []
 
     def claim(name: str, paper: str, measured: str, passed: bool) -> None:

@@ -98,14 +98,3 @@ class MSHRFile:
         entry = self._entries.pop(line_addr)
         self.released_total += 1
         return entry
-
-    def occupancy_by_line(self) -> dict[int, int]:
-        """Diagnostic view: line address -> merged demand count.
-
-        Sorted by line address so watchdog/invariant dumps are diffable
-        between runs regardless of allocation order.
-        """
-        return {
-            addr: len(entry.demand_issue_cycles)
-            for addr, entry in sorted(self._entries.items())
-        }

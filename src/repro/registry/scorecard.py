@@ -28,15 +28,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.experiments import paper_data
-from repro.experiments.figures import geomean
+from repro.experiments.figures import FIGURES, FigureSpec, geomean
 
 #: Scorecard schema version (bump on incompatible payload changes).
 SCORECARD_SCHEMA = 1
 
 #: The figures scored by default: the paper's evaluation headline.
-DEFAULT_SCORECARD_FIGURES = (
-    "figure10", "figure11", "figure12", "figure13", "figure14", "figure15",
-)
+DEFAULT_SCORECARD_FIGURES = tuple(
+    name for name, spec in FIGURES.items() if spec.scored_by_default)
 
 #: Aggregate keys the producers append to per-app grids; never scored.
 _AGGREGATE_KEYS = ("GMEAN", "GMEAN-MEM", "MEAN")
@@ -175,25 +174,23 @@ _EXTRACTORS: dict[str, Callable[[Any], dict[str, dict[str, float]]]] = {
 }
 
 
+def _spec(figure: str) -> FigureSpec:
+    spec = FIGURES.get(figure)
+    if spec is None:
+        known = ", ".join(sorted(FIGURES))
+        raise ValueError(f"unknown scorecard figure {figure!r}; known: {known}")
+    return spec
+
+
 def measured_grid(figure: str, apps: Optional[Sequence[str]] = None,
                   scale: float = 0.5) -> dict[str, dict[str, float]]:
     """Run the figure's producer and reduce its output to the golden shape."""
-    from repro.experiments import figures as figures_mod
-
-    spec = paper_data.SCORECARD.get(figure)
-    if spec is None:
-        known = ", ".join(sorted(paper_data.SCORECARD))
-        raise ValueError(f"unknown scorecard figure {figure!r}; known: {known}")
-    producer = getattr(figures_mod, figure)
-    if figure == "table2":
-        raw = producer()
-    elif figure == "table1":
-        app_list = [a for a in (apps or paper_data.PAPER_MEMORY_APPS)
-                    if a in paper_data.PAPER_MEMORY_APPS]
-        raw = producer(apps=app_list or None, scale=scale)
-    else:
-        raw = producer(apps=apps, scale=scale)
-    return _EXTRACTORS[spec["kind"]](raw)
+    spec = _spec(figure)
+    if spec.kind == "table1":
+        # Table I's golden rows are the memory-intensive apps only.
+        apps = [a for a in (apps or paper_data.PAPER_MEMORY_APPS)
+                if a in paper_data.PAPER_MEMORY_APPS] or None
+    return _EXTRACTORS[spec.kind](spec.producer(apps, scale))
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +283,7 @@ def score_figure(figure: str, apps: Optional[Sequence[str]] = None,
                  measured: Optional[Mapping[str, Mapping[str, float]]] = None,
                  ) -> FigureScore:
     """Score one figure; ``measured`` overrides running the producer."""
-    golden = paper_data.GOLDEN[figure]
+    golden = _spec(figure).golden
     if measured is None:
         measured = measured_grid(figure, apps=apps, scale=scale)
     scores = tuple(
@@ -310,9 +307,7 @@ def scorecard(figures: Optional[Sequence[str]] = None,
     """
     names = list(figures or DEFAULT_SCORECARD_FIGURES)
     for name in names:
-        if name not in paper_data.GOLDEN:
-            known = ", ".join(sorted(paper_data.GOLDEN))
-            raise ValueError(f"unknown scorecard figure {name!r}; known: {known}")
+        _spec(name)
     figure_payload: dict[str, dict] = {}
     for name in names:
         pre = measured.get(name) if measured else None

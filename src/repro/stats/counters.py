@@ -62,10 +62,6 @@ class CacheStats:
         return self.hit_after_hit / self.accesses if self.accesses else 0.0
 
     @property
-    def hit_after_miss_ratio(self) -> float:
-        return self.hit_after_miss / self.accesses if self.accesses else 0.0
-
-    @property
     def early_eviction_ratio(self) -> float:
         """Early evictions over correctly prefetched lines (Section III-C).
 

@@ -29,14 +29,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "KM", "nope"])
 
-    def test_help_lists_the_fourteen_subcommands(self, capsys):
+    def test_help_lists_the_thirteen_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])
         assert exit_info.value.code == 0
         usage = capsys.readouterr().out
         listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
-        assert len(listed) == 14
-        assert "trace" not in listed
+        assert len(listed) == 13
+        assert "trace" not in listed and "characterize" not in listed
 
     def test_table_takes_no_jobs(self):
         # Neither table simulates through the run cache a pool could fill.
@@ -121,9 +121,12 @@ class TestCommands:
         assert "Speedup" in out
 
     def test_characterize(self, capsys):
-        assert main(["characterize", "KM", "--scale", "0.05"]) == 0
+        # Table I for one app: the rows ``repro characterize KM`` printed.
+        assert main(["table", "1", "--apps", "KM", "--scale", "0.05",
+                     "--no-registry"]) == 0
         out = capsys.readouterr().out
         assert "0xE8" in out
+        assert {line.split()[0] for line in out.splitlines()[3:]} == {"KM"}
 
     def test_table2(self, capsys):
         assert main(["table", "2"]) == 0
@@ -146,7 +149,7 @@ class TestCommands:
 
         measured = {"figure10": {
             series: dict(per_app)
-            for series, per_app in paper_data.GOLDEN["figure10"].items()
+            for series, per_app in paper_data.FIG10.items()
         }}
         card = tmp_path / "card.json"
         import json

@@ -1,20 +1,6 @@
-"""JSON export of experiment results."""
+"""JSON-compatible form of experiment results."""
 
-import json
-
-import pytest
-
-from repro.experiments.export import export_all, export_figure, to_jsonable
-from repro.experiments.runner import clear_cache
-
-SCALE = 0.05
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
+from repro.experiments.export import to_jsonable
 
 
 class TestToJsonable:
@@ -31,34 +17,3 @@ class TestToJsonable:
 
     def test_int_keys_become_strings(self):
         assert to_jsonable({10: 1.5}) == {"10": 1.5}
-
-
-class TestExportFigure:
-    def test_table2(self, tmp_path):
-        path = tmp_path / "table2.json"
-        payload = export_figure("table2", path)
-        on_disk = json.loads(path.read_text())
-        assert on_disk == to_jsonable(payload)
-        assert on_disk["data"]["llt_bytes"] == 192
-
-    def test_figure12(self, tmp_path):
-        path = tmp_path / "f12.json"
-        export_figure("figure12", path, apps=["KM"], scale=SCALE)
-        data = json.loads(path.read_text())["data"]
-        assert set(data) == {"ccws+str", "apres"}
-        assert "KM" in data["apres"]
-
-    def test_unknown_name(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown export"):
-            export_figure("figure99", tmp_path / "x.json")
-
-
-class TestExportAll:
-    def test_writes_every_experiment(self, tmp_path):
-        written = export_all(tmp_path, apps=["KM"], scale=SCALE)
-        names = {p.stem for p in written}
-        assert "table1" in names
-        assert "figure10" in names
-        assert len(written) == 11
-        for p in written:
-            json.loads(p.read_text())  # all valid JSON

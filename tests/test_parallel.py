@@ -435,6 +435,29 @@ class TestFigurePoints:
         sizes = {p[3].l1.size_bytes for p in points}
         assert len(sizes) == 2
 
+    def test_points_are_the_runs_each_producer_resolves(self, monkeypatch):
+        # A FigureSpec's configs/l1_bytes must name exactly the runner
+        # points its producer resolves, or a prewarm leaves serial work.
+        from repro.experiments import figures
+
+        resolved = set()
+        original = runner.run
+
+        def recording(workload, config, scale=1.0, gpu_config=None,
+                      telemetry=None):
+            resolved.add(runner.cache_key(workload, config, scale, gpu_config))
+            return original(workload, config, scale, gpu_config, telemetry)
+
+        monkeypatch.setattr(runner, "run", recording)
+        monkeypatch.setattr(figures, "run", recording)
+        for name, spec in figures.FIGURES.items():
+            resolved.clear()
+            spec.producer(["KM"], 0.02)
+            expected = {runner.cache_key(*point)
+                        for point in figure_points(name, ["KM"], 0.02)}
+            assert resolved == expected, name
+            assert bool(expected) == bool(spec.configs), name
+
     def test_unprewarmable_names_return_empty(self):
         assert figure_points("table1", apps=["KM"]) == []
         assert figure_points("nonsense") == []

@@ -12,7 +12,9 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import paper_data
+from repro.experiments.figures import FIGURES
 from repro.registry.scorecard import (
+    _EXTRACTORS,
     DEFAULT_SCORECARD_FIGURES,
     format_scorecard,
     geomean,
@@ -100,7 +102,7 @@ class TestScoreSeries:
 
 class TestScoreFigure:
     def test_injected_measurements_bypass_simulation(self):
-        golden = paper_data.GOLDEN["figure10"]["apres"]
+        golden = paper_data.FIG10["apres"]
         measured = {"apres": {app: value * 1.1 for app, value in golden.items()}}
         score = score_figure("figure10", measured=measured)
         assert [s.series for s in score.series] == ["apres"]
@@ -113,10 +115,10 @@ class TestScoreFigure:
     def test_figure_aggregates_average_the_series(self):
         measured = {
             name: dict(per_app)
-            for name, per_app in paper_data.GOLDEN["figure10"].items()
+            for name, per_app in paper_data.FIG10.items()
         }
         score = score_figure("figure10", measured=measured)
-        assert len(score.series) == len(paper_data.GOLDEN["figure10"])
+        assert len(score.series) == len(paper_data.FIG10)
         assert score.mape_pct == pytest.approx(0.0)
         assert score.spearman == pytest.approx(1.0)
         assert score.geomean_delta == pytest.approx(0.0)
@@ -127,7 +129,7 @@ def golden_payload(perturb=1.0):
     measured = {
         "figure10": {
             series: {app: value * perturb for app, value in per_app.items()}
-            for series, per_app in paper_data.GOLDEN["figure10"].items()
+            for series, per_app in paper_data.FIG10.items()
         }
     }
     return scorecard(figures=["figure10"], measured=measured)
@@ -148,7 +150,7 @@ class TestScorecardPayload:
             "figure10", "figure11", "figure12", "figure13", "figure14",
             "figure15",
         )
-        assert set(DEFAULT_SCORECARD_FIGURES) <= set(paper_data.GOLDEN)
+        assert set(DEFAULT_SCORECARD_FIGURES) <= set(FIGURES)
 
     def test_every_producer_has_golden_data_and_a_scorecard_spec(self):
         import inspect
@@ -161,8 +163,11 @@ class TestScorecardPayload:
             if re.fullmatch(r"(figure|table)\d+", name)
             and fn.__module__ == figures.__name__
         }
-        assert set(paper_data.GOLDEN) == set(paper_data.SCORECARD)
-        assert set(paper_data.GOLDEN) == producers
+        assert set(FIGURES) == producers
+        for name, spec in FIGURES.items():
+            assert spec.producer is getattr(figures, name)
+            assert spec.golden and all(spec.golden.values())
+            assert spec.kind in _EXTRACTORS
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError, match="unknown scorecard figure"):
@@ -172,7 +177,7 @@ class TestScorecardPayload:
         text = format_scorecard(golden_payload())
         assert "Paper-fidelity scorecard" in text
         assert "figure10" in text
-        for series in paper_data.GOLDEN["figure10"]:
+        for series in paper_data.FIG10:
             assert series in text
         assert "mean Spearman" in text
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import clear_cache
-from repro.experiments.svg import grouped_bar_chart, render_figure, save_chart
+from repro.experiments.svg import grouped_bar_chart
 
 DATA = {
     "base": {"KM": 1.0, "LUD": 1.0},
@@ -46,21 +45,3 @@ class TestGroupedBarChart:
     def test_zero_values_ok(self):
         svg = grouped_bar_chart({"s": {"a": 0.0}})
         assert "<rect" in svg
-
-
-class TestSaveAndRender:
-    def test_save_chart(self, tmp_path):
-        path = save_chart(DATA, tmp_path / "c.svg", title="t")
-        assert path.exists()
-        assert path.read_text().startswith("<svg")
-
-    def test_render_figure(self, tmp_path):
-        clear_cache()
-        path = render_figure("figure12", tmp_path, apps=["KM"], scale=0.05)
-        assert path.name == "figure12.svg"
-        assert "apres" in path.read_text()
-        clear_cache()
-
-    def test_render_unknown(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown chart"):
-            render_figure("figure99", tmp_path)
