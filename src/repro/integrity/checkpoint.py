@@ -29,8 +29,10 @@ from repro.resilience.atomic import atomic_write_bytes
 #: hooks, and the L1 and L2 hold their tag sets and hoisted geometry; 6:
 #: LAWS keeps one priority key per warp instead of a queue list and hands
 #: SAP its missed group directly, holding no ``LoadAccess``, and ``SMCore``
-#: holds its L1's MSHR entries and prefetch-throttle threshold).
-CHECKPOINT_FORMAT = 6
+#: holds its L1's MSHR entries and prefetch-throttle threshold; 7: a tag
+#: array holds a dict of its touched sets, each a plain dict, and its
+#: lines share immutable ``LineMeta`` tuples the L1 interns).
+CHECKPOINT_FORMAT = 7
 
 _MAGIC = "repro-checkpoint"
 

@@ -197,17 +197,33 @@ class IrregularAddress(AddressGenerator):
         return self._bucket_address(warp, iteration, 0)
 
     def coalesced(self, warp: int, iteration: int, line_size: int) -> tuple[int, tuple[int, ...]]:
-        primary: int = 0
-        lines: dict[int, None] = {}
+        # One address per bucket, in lane order. With 0 < lpw <= lanes the
+        # lanes' buckets ``lane * lpw // lanes`` are exactly ``range(lpw)``;
+        # otherwise walk the lanes (a repeated bucket re-adds its line).
         lanes = self.lanes
         lpw = self.lines_per_warp
-        last_bucket = -1
-        for lane in range(lanes):
-            bucket = lane * lpw // lanes
-            if bucket == last_bucket:
-                continue
-            last_bucket = bucket
-            addr = self._bucket_address(warp, iteration, bucket)
+        buckets = (range(lpw) if 0 < lpw <= lanes
+                   else [lane * lpw // lanes for lane in range(lanes)])
+        # _bucket_address, with its per-instance and per-call terms hoisted.
+        hot_cut = int(self.hot_fraction * 256)
+        key = (self.seed << 48) ^ (warp << 28) ^ (iteration << 8)
+        base = self.base
+        element = self.element_bytes
+        if self.private_block_bytes:
+            hot_base = base + warp * self.private_block_bytes
+            hot_elems = max(1, self.private_block_bytes // element)
+        else:
+            hot_base = base
+            hot_elems = max(1, self.hot_bytes // element)
+        cold_elems = max(1, self.footprint_bytes // element)
+        primary = 0
+        lines: dict[int, None] = {}
+        for bucket in buckets:
+            h = _mix64(key ^ bucket)
+            if (h & 0xFF) < hot_cut:
+                addr = hot_base + (h >> 8) % hot_elems * element
+            else:
+                addr = base + (h >> 8) % cold_elems * element
             if bucket == 0:
                 primary = addr
             lines[addr - addr % line_size] = None

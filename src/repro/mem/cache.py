@@ -50,8 +50,8 @@ _HIT = AccessOutcome.HIT
 class L1Cache:
     """One SM's L1 data cache."""
 
-    __slots__ = ("_config", "stats", "_tags", "_sets", "_line_size", "_num_sets",
-                 "_mshrs", "_forward_miss",
+    __slots__ = ("_config", "stats", "_tags", "_sets", "_metas", "_line_size",
+                 "_num_sets", "_mshrs", "_forward_miss",
                  "_hit_latency", "_seen_lines", "_last_access_hit",
                  "eviction_listener", "stats_latency", "telemetry")
 
@@ -64,9 +64,13 @@ class L1Cache:
         self._config = config
         self.stats = stats
         self._tags = TagArray(config)
-        #: The tag array's own set list, probed in place by ``access``
-        #: (``(line // line_size) % num_sets``), one call fewer per access.
+        #: The tag array's own dict of touched sets, probed in place by
+        #: ``access`` (``(line // line_size) % num_sets``), one call fewer
+        #: per access.
         self._sets = self._tags._sets
+        #: The interned ``LineMeta`` of each ``(filler_warp, prefetched,
+        #: referenced)`` seen, keyed as in :meth:`_meta`.
+        self._metas: dict[int, LineMeta] = {}
         self._line_size = config.line_size
         self._num_sets = config.num_sets
         self._mshrs = MSHRFile(config.num_mshrs, config.mshr_merge_limit)
@@ -121,10 +125,9 @@ class L1Cache:
         """
         tel = self.telemetry
         emit = tel is not None and tel.events
-        s = self._sets[(line_addr // self._line_size) % self._num_sets]
-        meta = s.get(line_addr) if s is not None else None
+        s = self._sets.get((line_addr // self._line_size) % self._num_sets)
+        meta = s.pop(line_addr, None) if s is not None else None
         if meta is not None:
-            s.move_to_end(line_addr)
             # Hit accounting, inline: see _record_miss for the miss side.
             stats = self.stats
             stats.accesses += 1
@@ -135,9 +138,12 @@ class L1Cache:
             elif last_hit is not None:
                 stats.hit_after_miss += 1
             self._last_access_hit = True
-            if meta.prefetched and not meta.referenced:
-                stats.prefetch_useful += 1
-            meta.referenced = True
+            if not meta.referenced:
+                if meta.prefetched:
+                    stats.prefetch_useful += 1
+                meta = self._meta(meta.filler_warp, meta.prefetched, True)
+            # Re-inserted at the end: the line is now the set's MRU.
+            s[line_addr] = meta
             if emit:
                 tel.emit(L1AccessEvent(
                     cycle=now, sm=tel.sm_id, line_addr=line_addr, outcome="hit"))
@@ -223,9 +229,8 @@ class L1Cache:
         entry = self._mshrs.release(line_addr)
         prefetch_only = entry.prefetch_only
         issue_cycles = entry.demand_issue_cycles
-        # (filler_warp, prefetched, referenced): demands that merged while
-        # in flight count as the line's first use.
-        meta = LineMeta(entry.filler_warp, prefetch_only, bool(issue_cycles))
+        # Demands that merged while in flight count as the line's first use.
+        meta = self._meta(entry.filler_warp, prefetch_only, bool(issue_cycles))
         if prefetch_only:
             self.stats.prefetch_fills += 1
         tel = self.telemetry
@@ -250,6 +255,14 @@ class L1Cache:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _meta(self, filler_warp: int, prefetched: bool, referenced: bool) -> LineMeta:
+        """The one ``LineMeta`` this cache uses for these fields."""
+        key = (filler_warp << 2) | (prefetched << 1) | referenced
+        meta = self._metas.get(key)
+        if meta is None:
+            meta = self._metas[key] = LineMeta(filler_warp, prefetched, referenced)
+        return meta
 
     def _record_miss(self, line_addr: int) -> None:
         self.stats.accesses += 1

@@ -24,6 +24,9 @@ from repro.mem.tags import LineMeta, TagArray
 from repro.stats.counters import MemoryStats
 from repro.telemetry.events import DRAMRequestEvent, L2AccessEvent
 
+#: The metadata of every L2 line: the L2 reads none of its fields.
+_L2_LINE = LineMeta()
+
 
 class L2Cache:
     """Single shared L2 in front of DRAM."""
@@ -37,8 +40,9 @@ class L2Cache:
     def __init__(self, config: CacheConfig, dram: DRAMModel, stats: MemoryStats):
         self._stats = stats
         self._tags = TagArray(config)
-        #: The tag array's own set list: the read and write paths index it
-        #: in place (``(line // line_size) % num_sets``) rather than by call.
+        #: The tag array's own dict of touched sets: the read and write
+        #: paths index it in place (``(line // line_size) % num_sets``)
+        #: rather than by call.
         self._sets = self._tags._sets
         self._num_sets = config.num_sets
         self._line_size = config.line_size
@@ -75,9 +79,9 @@ class L2Cache:
                 start = free_at[bank]
             free_at[bank] = start + service
         tel = self.telemetry
-        s = self._sets[idx % self._num_sets]
+        s = self._sets.get(idx % self._num_sets)
         if s is not None and line_addr in s:
-            s.move_to_end(line_addr)
+            s[line_addr] = s.pop(line_addr)  # to MRU
             stats.l2_hits += 1
             if tel is not None and tel.events:
                 tel.emit(L2AccessEvent(cycle=now, line_addr=line_addr, hit=True))
@@ -118,7 +122,7 @@ class L2Cache:
             free_at = self._bank_free_at
             bank = (idx ^ (idx >> 7) ^ (idx >> 15)) % len(free_at)
             free_at[bank] = (free_at[bank] if free_at[bank] > now else now) + service
-        s = self._sets[idx % self._num_sets]
+        s = self._sets.get(idx % self._num_sets)
         if s is not None:
             s.pop(line_addr, None)
 
@@ -133,4 +137,4 @@ class L2Cache:
             ready, line = heapq.heappop(heap)
             if pending.get(line) == ready:
                 del pending[line]
-                self._tags.insert(line, LineMeta())
+                self._tags.insert(line, _L2_LINE)

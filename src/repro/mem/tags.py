@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.config import CacheConfig
 
 
-@dataclass(slots=True)
-class LineMeta:
-    """Per-line bookkeeping attached to each resident tag."""
+class LineMeta(NamedTuple):
+    """Per-line bookkeeping attached to each resident tag.
+
+    Immutable, so one instance can stand for every line with the same
+    fields: an L1 interns one per ``(filler_warp, prefetched, referenced)``
+    and the L2 installs one shared default, and a fill allocates nothing.
+    """
 
     #: Warp (local id) whose request filled the line; -1 for prefetch fills.
     filler_warp: int = -1
@@ -24,11 +26,11 @@ class LineMeta:
 class TagArray:
     """Tags + replacement state of one cache level.
 
-    Lines are keyed by line-aligned byte address. Each set is an
-    ``OrderedDict`` from address to :class:`LineMeta`; order encodes
-    recency (last item = most recently used). A set is created on its
-    first insert, so a large cache that a kernel touches sparsely costs
-    one list slot per untouched set.
+    Lines are keyed by line-aligned byte address. ``_sets`` maps a set
+    index to that set, a plain dict from address to :class:`LineMeta`
+    whose insertion order encodes recency (first key = LRU, last = MRU):
+    a hit re-inserts its line. A set is created on its first insert, so
+    the state grows with the sets a run touches, not with the capacity.
     """
 
     __slots__ = ("_config", "_num_sets", "_assoc", "_line", "_sets",
@@ -39,9 +41,7 @@ class TagArray:
         self._num_sets = config.num_sets
         self._assoc = config.associativity
         self._line = config.line_size
-        self._sets: list[Optional[OrderedDict[int, LineMeta]]] = [
-            None
-        ] * self._num_sets
+        self._sets: dict[int, dict[int, LineMeta]] = {}
         # Power-of-two geometry lets the per-access set index be a
         # shift+mask instead of a divide and a modulo. probe, insert and
         # invalidate compute it inline, saving a call per access.
@@ -57,14 +57,14 @@ class TagArray:
     def probe(self, line_addr: int, update_lru: bool = True) -> Optional[LineMeta]:
         """Return the line's metadata if resident, promoting it to MRU."""
         if self._pow2:
-            s = self._sets[(line_addr >> self._line_shift) & self._set_mask]
+            s = self._sets.get((line_addr >> self._line_shift) & self._set_mask)
         else:
-            s = self._sets[(line_addr // self._line) % self._num_sets]
+            s = self._sets.get((line_addr // self._line) % self._num_sets)
         if s is None:
             return None
         meta = s.get(line_addr)
         if meta is not None and update_lru:
-            s.move_to_end(line_addr)
+            s[line_addr] = s.pop(line_addr)
         return meta
 
     def insert(self, line_addr: int, meta: LineMeta) -> Optional[tuple[int, LineMeta]]:
@@ -82,53 +82,52 @@ class TagArray:
             index = (line_addr >> self._line_shift) & self._set_mask
         else:
             index = (line_addr // self._line) % self._num_sets
-        s = self._sets[index]
+        s = self._sets.get(index)
         if s is None:
-            s = self._sets[index] = OrderedDict()
-        victim: Optional[tuple[int, LineMeta]] = None
-        if line_addr in s:
-            # Refill of a resident line: replace metadata in place.
+            s = self._sets[index] = {}
+        elif line_addr in s:
+            # Refill of a resident line: new metadata, at MRU.
+            del s[line_addr]
             s[line_addr] = meta
-            s.move_to_end(line_addr)
             return None
+        victim: Optional[tuple[int, LineMeta]] = None
         if len(s) >= self._assoc:
             victim_addr = None
             # Without a prefetched line the LRU line is the victim as is.
             if self._held_prefetch:
                 pending = sum(1 for m in s.values() if m.prefetched and not m.referenced)
                 if pending <= self._assoc // 2:
-                    # Scan is intentionally in OrderedDict recency order (oldest
-                    # first = LRU); that order is deterministic, not hash order.
+                    # Scan is intentionally in recency order (oldest first =
+                    # LRU); dict order is insertion order, not hash order.
                     victim_addr = next(
                         (a for a, m in s.items() if not (m.prefetched and not m.referenced)),
                         None,
                     )
             if victim_addr is None:
-                victim = s.popitem(last=False)
-            else:
-                victim = (victim_addr, s.pop(victim_addr))
+                victim_addr = next(iter(s))
+            victim = (victim_addr, s.pop(victim_addr))
         s[line_addr] = meta
         return victim
 
     def invalidate(self, line_addr: int) -> Optional[LineMeta]:
         """Drop a line (write-evict stores); return its metadata if present."""
         if self._pow2:
-            s = self._sets[(line_addr >> self._line_shift) & self._set_mask]
+            s = self._sets.get((line_addr >> self._line_shift) & self._set_mask)
         else:
-            s = self._sets[(line_addr // self._line) % self._num_sets]
+            s = self._sets.get((line_addr // self._line) % self._num_sets)
         if s is None:
             return None
         return s.pop(line_addr, None)
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets if s is not None)
+        return sum(len(s) for s in self._sets.values())
 
     def resident_lines(self) -> Iterator[int]:
-        """Yield resident line addresses, sorted within each set.
+        """Yield resident line addresses, sets in index order, each sorted.
 
         Consumers treat this as a set, but sorting keeps any serialised
         form (checkpoints, diagnostics) byte-stable across runs.
         """
-        for s in self._sets:
-            if s is not None:
-                yield from sorted(s.keys())
+        sets = self._sets
+        for index in sorted(sets):
+            yield from sorted(sets[index])

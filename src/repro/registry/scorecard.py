@@ -187,9 +187,12 @@ def measured_grid(figure: str, apps: Optional[Sequence[str]] = None,
     """Run the figure's producer and reduce its output to the golden shape."""
     spec = _spec(figure)
     if spec.kind == "table1":
-        # Table I's golden rows are the memory-intensive apps only.
+        # Table I's golden rows are the memory-intensive apps only: asking
+        # for none of them profiles nothing.
         apps = [a for a in (apps or paper_data.PAPER_MEMORY_APPS)
-                if a in paper_data.PAPER_MEMORY_APPS] or None
+                if a in paper_data.PAPER_MEMORY_APPS]
+        if not apps:
+            return _extract_table1({})
     return _EXTRACTORS[spec.kind](spec.producer(apps, scale))
 
 

@@ -117,11 +117,12 @@ class TestCheckpointFiles:
             load_checkpoint(str(path))
 
     def test_older_format_rejected(self):
-        # A format-2 pickle lacks the issuable pool and the LLT index.
+        # A format-6 pickle holds a list of OrderedDict tag sets and one
+        # mutable LineMeta per line.
         sim = build("apres", mixed_kernel(6), make_config())
         payload = pickle.loads(sim.snapshot())
-        payload["format"] = 2
-        with pytest.raises(CheckpointError, match="format 2 unsupported"):
+        payload["format"] = 6
+        with pytest.raises(CheckpointError, match="format 6 unsupported"):
             GPUSimulator.restore(pickle.dumps(payload))
 
     def test_format_3_rejected(self):

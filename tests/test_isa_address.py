@@ -1,6 +1,6 @@
 """Address generators: determinism, bounds, stride structure."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import WARP_SIZE
 from repro.isa.address import (
@@ -9,6 +9,7 @@ from repro.isa.address import (
     IrregularAddress,
     StridedAddress,
 )
+from repro.mem.coalescer import coalesce
 
 GB = 1 << 30
 
@@ -134,6 +135,34 @@ class TestIrregular:
     def test_deterministic(self, w, i):
         gen = IrregularAddress(GB, footprint_bytes=1 << 24, seed=7)
         assert gen.addresses(w, i) == gen.addresses(w, i)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gen=st.builds(
+            IrregularAddress, base=st.integers(0, GB),
+            footprint_bytes=st.sampled_from([1 << 12, 1 << 24]),
+            hot_bytes=st.sampled_from([2, 300, 8192]),
+            hot_fraction=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+            lines_per_warp=st.integers(1, 80),
+            private_block_bytes=st.sampled_from([0, 1024, 100]),
+            seed=st.integers(0, 99),
+            element_bytes=st.sampled_from([1, 4, 8, 300]),
+            lanes=st.integers(1, 40)),
+        w=warps, i=iters, line_size=st.sampled_from([32, 128, 256]))
+    # Fewer buckets than lanes; more buckets than lanes, elements wider
+    # than a line and a hot region narrower than an element, per-warp blocks.
+    @example(gen=IrregularAddress(GB, footprint_bytes=1 << 24, lines_per_warp=4),
+             w=3, i=5, line_size=128)
+    @example(gen=IrregularAddress(GB, footprint_bytes=1 << 24, hot_bytes=2,
+                                  lines_per_warp=48, element_bytes=300),
+             w=3, i=5, line_size=32)
+    @example(gen=IrregularAddress(GB, footprint_bytes=1 << 24, private_block_bytes=1024,
+                                  hot_fraction=1.0, lines_per_warp=64),
+             w=7, i=2, line_size=128)
+    def test_coalesced_equals_coalescing_the_lanes(self, gen, w, i, line_size):
+        addresses = gen.addresses(w, i)
+        assert gen.coalesced(w, i, line_size) == (
+            addresses[0], tuple(coalesce(addresses, line_size)))
 
 
 class TestIndirect:

@@ -144,8 +144,8 @@ class _Recorder:
 
 
 def _tag_state(tags: TagArray) -> list:
-    """Every set's lines in LRU order (``None`` for an untouched set)."""
-    return [None if s is None else list(s) for s in tags._sets]
+    """Every touched set's index and lines in LRU order, by set index."""
+    return [(index, list(s)) for index, s in sorted(tags._sets.items())]
 
 
 # Addresses: a small pool (hits, joins and evictions) plus a wide range

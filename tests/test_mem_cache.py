@@ -4,6 +4,7 @@ hit-after-hit accounting and prefetch bookkeeping."""
 
 from repro.config import CacheConfig
 from repro.mem.cache import AccessOutcome, L1Cache
+from repro.mem.tags import LineMeta
 from repro.stats.counters import CacheStats
 
 
@@ -168,6 +169,30 @@ class TestPrefetchPath:
         h.l1.access(0, 0, 150)
         h.l1.access(0, 1, 160)
         assert h.stats.prefetch_useful == 1  # only the first touch counts
+
+    def test_hit_on_prefetched_line_leaves_it_referenced_at_mru(self):
+        h = Harness(sets=1, ways=2)
+        for line in (0, 128):
+            h.l1.prefetch(line, 0)
+            h.l1.fill(line, 100)
+        h.l1.access(0, 3, 150)
+        h.l1.access(0, 1, 160)
+        assert h.stats.prefetch_useful == 1
+        tags = h.l1._tags
+        assert tags.probe(0, update_lru=False) == LineMeta(-1, True, True)
+        assert tags.probe(128, update_lru=False) == LineMeta(-1, True, False)
+        assert list(tags._sets[0]) == [128, 0]
+
+    def test_fills_with_equal_metadata_share_it(self):
+        h = Harness(sets=2, ways=2)
+        h.miss_then_fill(0, warp=3)
+        h.miss_then_fill(128, warp=3, now=5)
+        h.miss_then_fill(256, warp=4, now=10)
+        tags = h.l1._tags
+        first, second, other = (tags.probe(a, update_lru=False) for a in (0, 128, 256))
+        assert first is second
+        assert first == LineMeta(3, False, True)
+        assert other == LineMeta(4, False, True)
 
     def test_unused_prefetch_evicted_is_early(self):
         h = Harness(sets=1, ways=1)

@@ -1,11 +1,17 @@
 """Tag array LRU semantics, including a hypothesis model check."""
 
+import os
+import tracemalloc
 from collections import OrderedDict
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CacheConfig
+from repro.experiments.configs import CONFIGS, experiment_gpu_config
 from repro.mem.tags import LineMeta, TagArray
+from repro.sm.simulator import GPUSimulator
+from repro.workloads.suite import workload
+from repro.workloads.synthetic import build_kernel
 
 
 def small_tags(sets=4, ways=2):
@@ -132,6 +138,21 @@ class TestUntouchedSets:
             line(1, 1, 8), line(1, 2, 8), line(4, 0, 8), line(7, 0, 8),
         ]
 
+    def test_untouched_sets_hold_no_memory(self):
+        # Figure 2's 32 MB L1 has 32,768 sets per SM; at 15 SMs a slot per
+        # set took about 3.9 MB before the first access.
+        kernel = build_kernel(workload("KM"), 0.02)
+        cfg = experiment_gpu_config(15).with_l1_size(32 << 20)
+        tracemalloc.start()
+        try:
+            GPUSimulator(kernel, cfg, CONFIGS["base"].build)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        mem = snapshot.filter_traces(
+            [tracemalloc.Filter(True, os.path.join("*", "repro", "mem", "*"))])
+        assert sum(stat.size for stat in mem.statistics("filename")) < 1 << 20
+
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=200))
@@ -210,8 +231,8 @@ class ScanEveryTimeTags:
 
 def tag_ops(prefetch: bool):
     """One operation on a line among 24: insert (a prefetched line only when
-    ``prefetch``), probe with or without an LRU update, invalidate, or mark
-    a resident line referenced (what an L1 hit does)."""
+    ``prefetch``), probe with or without an LRU update, invalidate, or
+    promote a resident line and mark it referenced (what an L1 hit does)."""
     kinds = ["insert", "insert", "insert", "probe", "peek", "invalidate", "reference"]
     if prefetch:
         kinds.append("prefetch")
@@ -246,10 +267,12 @@ def test_victims_match_the_scan_every_time_insert(num_sets, assoc, prefix, mixed
         elif kind == "invalidate":
             assert tags.invalidate(addr) == ref.invalidate(addr)
         else:
-            metas = tags.probe(addr, update_lru=False), ref.probe(addr, update_lru=False)
-            assert (metas[0] is None) == (metas[1] is None)
+            metas = tags.probe(addr), ref.probe(addr)
+            assert metas[0] == metas[1]
             if metas[0] is not None:
-                metas[0].referenced = metas[1].referenced = True
+                # LineMeta is immutable: the hit stores a referenced copy.
+                tags._sets[(addr // 128) % num_sets][addr] = metas[0]._replace(referenced=True)
+                ref._set(addr)[addr] = metas[1]._replace(referenced=True)
         for index, s in enumerate(ref.sets):
-            got_set = tags._sets[index]
-            assert list(s.items()) == (list(got_set.items()) if got_set is not None else [])
+            got_set = tags._sets.get(index, {})
+            assert list(s.items()) == list(got_set.items())

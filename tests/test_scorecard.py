@@ -19,6 +19,7 @@ from repro.registry.scorecard import (
     format_scorecard,
     geomean,
     mape,
+    measured_grid,
     score_figure,
     score_series,
     scorecard,
@@ -122,6 +123,14 @@ class TestScoreFigure:
         assert score.mape_pct == pytest.approx(0.0)
         assert score.spearman == pytest.approx(1.0)
         assert score.geomean_delta == pytest.approx(0.0)
+
+    def test_table1_scores_only_requested_memory_apps(self):
+        # PF is not memory-intensive, so Table I has no row for it.
+        assert measured_grid("table1", apps=["PF"], scale=0.02) == {
+            "miss-rate": {}, "lines-per-ref": {}}
+        grid = measured_grid("table1", apps=["PF", "KM"], scale=0.02)
+        assert {series: sorted(rows) for series, rows in grid.items()} == {
+            "miss-rate": ["KM"], "lines-per-ref": ["KM"]}
 
 
 def golden_payload(perturb=1.0):
